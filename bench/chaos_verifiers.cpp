@@ -8,8 +8,8 @@
 //                the chaos plane: rejection rate must meet the per-case
 //                floor (probabilistic — garbage can collide with truth).
 //
-// Trials alternate message plane and execution backend, so the table is
-// also a cross-substrate soundness check. --check turns the table into a
+// Trials alternate the execution backend, so the table is also a
+// cross-backend soundness check. --check turns the table into a
 // gate: any clean rejection, any corrupted acceptance, or a byzantine rate
 // below its floor exits non-zero (CI runs --n=64 --trials=50 --check).
 //
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("CHAOS: verifier soundness under fault injection "
-              "(%u trials/case, plane+backend sweep)\n\n",
+              "(%u trials/case, backend sweep)\n\n",
               trials);
 
   benchjson::Writer json;

@@ -1,23 +1,21 @@
 // Message-plane micro-benchmark: allocation-bound exchange loads.
 //
-// The workload is the plane's worst case for the legacy substrate: many
-// supersteps of skewed all-to-all exchange(), where the legacy delivery
-// rebuilds Θ(n²) vector queues per collective while the flat plane runs a
-// counting sort over persisted arenas (DESIGN.md "Message plane"). Cost
-// meters must be byte-identical between planes; only wall-clock may differ.
+// The workload is many supersteps of skewed all-to-all exchange through
+// the arena plane (DESIGN.md "Message plane"), once through the
+// queue-shaped exchange() adapter (rows "flat") and once through the
+// span-shaped exchange_flat() fast path (rows "flat_span"). Cost meters
+// must be byte-identical between the two APIs; only wall-clock may differ.
 //
 // Usage: bench_exchange [--n=N] [--check] [--trace=PATH]
 //   --n=N     run a single clique size instead of the 128/256/512 sweep
-//   --check   CI smoke mode: exit non-zero if the flat plane is slower
-//             than legacy beyond a noise tolerance (see kCheckTolerance;
-//             shared CI runners jitter best-of-5 timings by ~10%, so an
-//             exact comparison would flake on timer noise alone), or if
-//             enabled tracing costs more than 50% on top of delivery
+//   --check   CI smoke mode: exit non-zero if enabled tracing costs more
+//             than 50% on top of delivery
 //   --trace=PATH  record a round trace (see clique/trace.hpp) of every
 //             run into PATH (chrome://tracing) + PATH's .jsonl sibling
 //
 // Writes BENCH_exchange.json ({n, backend, plane, wall_ms, rounds,
-// messages, bits} per row) into the current directory.
+// messages, bits} per row; "plane" names the API, flat or flat_span) into
+// the current directory.
 
 #include <chrono>
 #include <cstdio>
@@ -34,11 +32,6 @@ using namespace ccq;
 namespace {
 
 constexpr int kSupersteps = 16;
-
-// --check fails only when flat exceeds legacy by this factor: the gate is
-// meant to catch real regressions (the steady-state win is >=2x), not the
-// ~10% wall-clock jitter of a shared CI runner.
-constexpr double kCheckTolerance = 1.15;
 
 struct Sample {
   double millis = 0;
@@ -64,7 +57,7 @@ void exchange_program(NodeCtx& ctx) {
 }
 
 // The same traffic through the span-shaped fast path (exchange_flat):
-// measures what a fully ported caller gains on top of the plane swap.
+// measures what a caller gains by skipping the queue adapter.
 void exchange_flat_program(NodeCtx& ctx) {
   const NodeId n = ctx.n();
   std::uint64_t acc = 0;
@@ -81,17 +74,14 @@ void exchange_flat_program(NodeCtx& ctx) {
   ctx.output(acc);
 }
 
-Sample run_config(NodeId n, MessagePlaneKind plane, bool flat_api,
-                  int trials) {
-  Engine::Config cfg;
-  cfg.plane = plane;
+Sample run_config(NodeId n, bool flat_api, int trials) {
   const NodeProgram program =
       flat_api ? NodeProgram(exchange_flat_program)
                : NodeProgram(exchange_program);
   Sample s;
   for (int t = 0; t < trials; ++t) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto res = Engine::run(gen::empty(n), program, cfg);
+    auto res = Engine::run(gen::empty(n), program);
     const auto t1 = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -114,7 +104,6 @@ Sample run_traced(NodeId n, int trials) {
   for (int t = 0; t < trials; ++t) {
     RoundTrace tr;
     Engine::Config cfg;
-    cfg.plane = MessagePlaneKind::kFlat;
     cfg.trace = &tr;
     const auto t0 = std::chrono::steady_clock::now();
     auto res = Engine::run(gen::empty(n), NodeProgram(exchange_program), cfg);
@@ -170,7 +159,7 @@ int main(int argc, char** argv) {
   }
   const int trials = check ? 5 : 3;
 
-  std::printf("Message planes (allocation-bound load: %d skewed all-to-all\n"
+  std::printf("Message plane (allocation-bound load: %d skewed all-to-all\n"
               "exchange supersteps, best of %d trials, pooled backend):\n\n",
               kSupersteps, trials);
 
@@ -178,42 +167,32 @@ int main(int argc, char** argv) {
   if (only_n != 0) sizes = {only_n};
 
   benchjson::Writer json;
-  Table t({"n", "legacy ms", "flat ms", "speedup", "flat-API ms",
-           "total speedup", "counts equal"});
-  bool check_failed = false;
+  Table t({"n", "exchange() ms", "exchange_flat() ms", "speedup",
+           "counts equal"});
   for (NodeId n : sizes) {
-    const auto legacy =
-        run_config(n, MessagePlaneKind::kLegacy, false, trials);
-    const auto flat = run_config(n, MessagePlaneKind::kFlat, false, trials);
-    const auto flat_api =
-        run_config(n, MessagePlaneKind::kFlat, true, trials);
-    if (!same_meters(legacy.result, flat.result) ||
-        !same_meters(legacy.result, flat_api.result)) {
-      std::printf("FATAL: planes disagree on metered cost at n=%u\n", n);
+    const auto flat = run_config(n, false, trials);
+    const auto flat_api = run_config(n, true, trials);
+    if (!same_meters(flat.result, flat_api.result)) {
+      std::printf("FATAL: exchange APIs disagree on metered cost at n=%u\n",
+                  n);
       return 1;
     }
-    add_record(json, n, "legacy", legacy);
     add_record(json, n, "flat", flat);
     add_record(json, n, "flat_span", flat_api);
-    t.add_row({std::to_string(n), Table::fmt(legacy.millis, 1),
-               Table::fmt(flat.millis, 1),
-               Table::fmt(legacy.millis / flat.millis, 1),
+    t.add_row({std::to_string(n), Table::fmt(flat.millis, 1),
                Table::fmt(flat_api.millis, 1),
-               Table::fmt(legacy.millis / flat_api.millis, 1), "yes"});
-    if (check && flat.millis > kCheckTolerance * legacy.millis) {
-      check_failed = true;
-    }
+               Table::fmt(flat.millis / flat_api.millis, 1), "yes"});
   }
   t.print();
 
   std::printf(
-      "\nTracing overhead (flat plane; \"off\" is the disabled-trace path —\n"
+      "\nTracing overhead (exchange(); \"off\" is the disabled-trace path —\n"
       "one pointer test per collective — \"on\" attaches a RoundTrace and\n"
       "pays the per-collective O(n) record scan):\n");
   Table to({"n", "trace off ms", "trace on ms", "overhead", "counts equal"});
   bool trace_gate_failed = false;
   for (NodeId n : sizes) {
-    const auto off = run_config(n, MessagePlaneKind::kFlat, false, trials);
+    const auto off = run_config(n, false, trials);
     const auto on = run_traced(n, trials);
     if (!same_meters(off.result, on.result)) {
       std::printf("FATAL: tracing changed the metered cost at n=%u\n", n);
@@ -244,19 +223,12 @@ int main(int argc, char** argv) {
   }
 
   if (check) {
-    if (check_failed) {
-      std::printf("CHECK FAILED: flat plane >%.0f%% slower than legacy\n",
-                  (kCheckTolerance - 1.0) * 100.0);
-      return 1;
-    }
     if (trace_gate_failed) {
       std::printf("CHECK FAILED: enabled tracing costs >50%% on top of "
                   "delivery\n");
       return 1;
     }
-    std::printf("CHECK OK: flat plane within %.0f%% of legacy or faster; "
-                "tracing overhead in bounds\n",
-                (kCheckTolerance - 1.0) * 100.0);
+    std::printf("CHECK OK: tracing overhead in bounds\n");
   }
   return 0;
 }

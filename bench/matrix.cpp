@@ -1,7 +1,7 @@
 // Scenario-matrix sweep driver (DESIGN.md §14, EXPERIMENTS.md).
 //
 // Reads a declarative manifest describing a {algorithm} × {graph family} ×
-// {n} × {plane/backend} × {chaos on/off} grid, runs every expanded cell
+// {n} × {backend} × {chaos on/off} grid, runs every expanded cell
 // through the engine with a fresh RoundTrace attached, cross-checks each
 // cell's CostMeter against its trace ledger, and writes one machine-
 // readable BENCH_matrix.json. tools/check_trajectory.py compares that file
@@ -97,7 +97,6 @@ int run(const std::string& manifest_path, const std::string& out_path,
               {"algorithm", spec.algorithm},
               {"family", spec.family.name},
               {"n", spec.n},
-              {"plane", harness::plane_name(spec.plane)},
               {"backend", harness::backend_name(spec.backend)},
               {"chaos", spec.chaos ? "on" : "off"},
               {"rounds", r.cost.rounds},

@@ -22,11 +22,9 @@ namespace {
 // BENCH_routing.json at exit so CI can diff runs.
 benchjson::Writer g_json;
 
-void record(NodeId n, const char* backend, const char* plane, double ms,
-            const RunResult& r) {
+void record(NodeId n, const char* backend, double ms, const RunResult& r) {
   g_json.add({{"n", n},
               {"backend", backend},
-              {"plane", plane},
               {"wall_ms", ms},
               {"rounds", r.cost.rounds},
               {"messages", r.cost.messages},
@@ -109,77 +107,11 @@ void backend_comparison() {
       std::printf("FATAL: backends disagree on metered cost at n=%u\n", n);
       std::exit(1);
     }
-    record(n, "thread-per-node", "flat", tpn.millis, tpn.result);
-    record(n, "pooled", "flat", pool.millis, pool.result);
+    record(n, "thread-per-node", tpn.millis, tpn.result);
+    record(n, "pooled", pool.millis, pool.result);
     t.add_row({std::to_string(n), Table::fmt(tpn.millis, 1),
                Table::fmt(pool.millis, 1),
                Table::fmt(tpn.millis / pool.millis, 1), "yes"});
-  }
-  t.print();
-}
-
-// Wall-clock of the delivery-bound regime — the balanced router moving n
-// messages per node through two full exchanges — under each message plane.
-// Meters must be byte-identical across planes (the plane contract); only
-// wall-clock may differ.
-BackendSample run_plane(NodeId n, MessagePlaneKind plane, int trials) {
-  Engine::Config cfg;
-  cfg.plane = plane;
-  const auto program = [](NodeCtx& ctx) {
-    SplitMix64 rng(ctx.id() * 7919 + 13);
-    std::vector<RoutedMessage> msgs;
-    for (NodeId i = 0; i < ctx.n(); ++i) {
-      NodeId dst;
-      do {
-        dst = static_cast<NodeId>(rng.next_below(ctx.n()));
-      } while (ctx.n() > 1 && dst == ctx.id());
-      msgs.push_back({dst, Word(i % 2, 1)});
-    }
-    std::uint64_t got = 0;
-    for (int r = 0; r < 4; ++r) got += route_balanced(ctx, msgs).size();
-    ctx.output(got);
-  };
-  BackendSample s;
-  for (int t = 0; t < trials; ++t) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto res = Engine::run(gen::empty(n), program, cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (t == 0 || ms < s.millis) s.millis = ms;
-    s.result = std::move(res);
-  }
-  return s;
-}
-
-void plane_comparison() {
-  std::printf(
-      "\nMessage planes (delivery-bound load: 4 balanced-router batches of\n"
-      "n messages per node, best of 3 trials, pooled backend): flat arena\n"
-      "plane vs legacy per-pair queues. Meters must be byte-identical:\n");
-  Table t({"n", "legacy ms", "flat ms", "speedup", "counts equal"});
-  for (NodeId n : {128u, 256u, 512u}) {
-    const auto legacy = run_plane(n, MessagePlaneKind::kLegacy, 3);
-    const auto flat = run_plane(n, MessagePlaneKind::kFlat, 3);
-    const bool same =
-        legacy.result.outputs == flat.result.outputs &&
-        legacy.result.cost.rounds == flat.result.cost.rounds &&
-        legacy.result.cost.messages == flat.result.cost.messages &&
-        legacy.result.cost.bits == flat.result.cost.bits &&
-        legacy.result.cost.collectives == flat.result.cost.collectives &&
-        legacy.result.cost.max_node_sent ==
-            flat.result.cost.max_node_sent &&
-        legacy.result.cost.max_node_received ==
-            flat.result.cost.max_node_received;
-    if (!same) {
-      std::printf("FATAL: planes disagree on metered cost at n=%u\n", n);
-      std::exit(1);
-    }
-    record(n, "pooled", "legacy", legacy.millis, legacy.result);
-    record(n, "pooled", "flat", flat.millis, flat.result);
-    t.add_row({std::to_string(n), Table::fmt(legacy.millis, 1),
-               Table::fmt(flat.millis, 1),
-               Table::fmt(legacy.millis / flat.millis, 1), "yes"});
   }
   t.print();
 }
@@ -244,7 +176,6 @@ int main(int argc, char** argv) {
   ts.print();
 
   backend_comparison();
-  plane_comparison();
 
   // Flush the trace (if any) before BENCH_routing.json so the per-phase
   // breakdown rows land in the artifact; a failed self-check (per-record
@@ -259,7 +190,6 @@ int main(int argc, char** argv) {
       "\nShape check: balanced-load rounds stay O(1) as n grows; skewed "
       "direct grows\nlinearly in m while the two-phase router stays near "
       "2·⌈m/n⌉·2; the pooled\nscheduler wins wall-clock on rendezvous-bound "
-      "loads — and the flat arena plane\nwins delivery-bound loads — "
-      "without moving a single metered count.\n");
+      "loads without moving a single\nmetered count.\n");
   return 0;
 }

@@ -29,23 +29,22 @@ ChaosPlan* global() { return g_plan; }
 }  // namespace chaos
 
 // The wrapper plane. Deposits run on node fibers and touch only the slots
-// owned by `self` (own_[self], pending_[self]) — the same ownership
-// discipline the real planes follow, so both backends and TSan are happy.
-// The corrupted copy of the outbox is handed to the wrapped plane as a
-// movable queue deposit; the inner plane then validates, meters and
-// delivers the corrupted traffic exactly as it would honest traffic.
+// owned by `self` (queues_[self], out_[self], pending_[self]) — the same
+// ownership discipline the arena plane follows, so every backend and TSan
+// are happy. The corrupted outbox is handed to the wrapped plane as a pair
+// deposit grouped by destination, each (src, dst) run in its original word
+// order; the inner plane then validates, meters and delivers the corrupted
+// traffic exactly as it would honest traffic.
 class ChaosPlane final : public detail::MessagePlane {
  public:
   ChaosPlane(detail::MessagePlane* inner, ChaosPlan* plan)
       : inner_(inner), plan_(plan) {}
 
-  MessagePlaneKind kind() const override { return inner_->kind(); }
-
   void init(NodeId n, unsigned bandwidth) override {
     n_ = n;
     collective_ = 0;
-    own_.assign(n, WordQueues(n));
-    scratch_.assign(n, {});
+    queues_.assign(n, WordQueues(n));
+    out_.assign(n, {});
     pending_.assign(n, {});
     byz_.assign(n, 0);
     for (NodeId v : plan_->config().byzantine) {
@@ -57,28 +56,10 @@ class ChaosPlane final : public detail::MessagePlane {
     inner_->init(n, bandwidth);
   }
 
-  void deposit_queues(NodeId self, const WordQueues* out,
-                      bool movable) override {
-    CCQ_CHECK_MSG(out->size() == n_,
-                  "chaos: outbox must have one queue per node");
-    WordQueues& mine = own_[self];
-    // Self words never touch the network: pass them through unfaulted
-    // (moving when the caller relinquished the outbox).
-    mine[self] = movable ? std::move(const_cast<WordQueues&>(*out)[self])
-                         : (*out)[self];
-    for (NodeId dst = 0; dst < n_; ++dst) {
-      if (dst == self) continue;
-      mine[dst].clear();
-      corrupt_queue(self, dst, (*out)[dst], mine[dst]);
-    }
-    inner_->deposit_queues(self, &mine, /*movable=*/true);
-  }
-
   void deposit_pairs(NodeId self,
                      std::span<const std::pair<NodeId, Word>> out,
                      bool unique_dst) override {
-    WordQueues& mine = own_[self];
-    std::vector<Word>& tmp = scratch_[self];
+    WordQueues& mine = queues_[self];
     for (auto& q : mine) q.clear();
     // Validate the *honest* outbox under round() rules before faulting —
     // a duplication fault must not be blamed on the program.
@@ -92,29 +73,32 @@ class ChaosPlane final : public detail::MessagePlane {
       }
       mine[dst].push_back(w);
     }
+    auto& faulted = out_[self];
+    faulted.clear();
     for (NodeId dst = 0; dst < n_; ++dst) {
-      if (dst == self) continue;
-      tmp = std::move(mine[dst]);
-      mine[dst].clear();
-      corrupt_queue(self, dst, tmp, mine[dst]);
+      if (dst == self) {
+        // Self words never touch the network: pass them through unfaulted.
+        for (const Word& w : mine[dst]) faulted.emplace_back(dst, w);
+      } else {
+        corrupt_queue(self, dst, mine[dst], faulted);
+      }
     }
-    inner_->deposit_queues(self, &mine, /*movable=*/true);
+    inner_->deposit_pairs(self, faulted, /*unique_dst=*/false);
   }
 
   void deposit_broadcast(NodeId self, std::span<const Word> words) override {
-    WordQueues& mine = own_[self];
+    auto& faulted = out_[self];
+    faulted.clear();
     for (NodeId dst = 0; dst < n_; ++dst) {
-      mine[dst].clear();
-      if (dst == self) continue;
-      corrupt_queue(self, dst, words, mine[dst]);
+      if (dst != self) corrupt_queue(self, dst, words, faulted);
     }
-    inner_->deposit_queues(self, &mine, /*movable=*/true);
+    inner_->deposit_pairs(self, faulted, /*unique_dst=*/false);
   }
 
   void deliver(detail::Scheduler& sched,
                detail::DeliveryAccounting& acc) override {
     // Flush per-node fault buffers into the plan in node-id order: the
-    // decisions are pure hashes, so the ledger is identical across planes,
+    // decisions are pure hashes, so the ledger is identical across
     // backends and worker counts.
     for (NodeId v = 0; v < n_; ++v) {
       for (const FaultEvent& e : pending_[v]) plan_->record(e);
@@ -125,9 +109,6 @@ class ChaosPlane final : public detail::MessagePlane {
   }
 
   FlatInbox inbox(NodeId self) override { return inner_->inbox(self); }
-  WordQueues take_queues(NodeId self) override {
-    return inner_->take_queues(self);
-  }
 
  private:
   // One fault stream per (collective, src, dst), drawn in word order — the
@@ -139,17 +120,17 @@ class ChaosPlane final : public detail::MessagePlane {
     return mix64(s ^ ((static_cast<std::uint64_t>(src) << 32) | dst));
   }
 
+  // Appends the faulted (src → dst) run to `out` as (dst, word) pairs.
   template <typename WordSeq>
   void corrupt_queue(NodeId src, NodeId dst, const WordSeq& in,
-                     std::vector<Word>& out) {
+                     std::vector<std::pair<NodeId, Word>>& out) {
     const ChaosPlan::Config& cfg = plan_->config();
     const bool byz = byz_[src] != 0;
     if (!byz && cfg.p_flip <= 0 && cfg.p_drop <= 0 && cfg.p_dup <= 0) {
-      out.assign(in.begin(), in.end());
+      for (const Word& w : in) out.emplace_back(dst, w);
       return;
     }
     SplitMix64 rng(stream_seed(cfg.seed, collective_, src, dst));
-    out.reserve(in.size());
     for (std::size_t pos = 0; pos < in.size(); ++pos) {
       const auto i = static_cast<std::uint64_t>(pos);
       Word w = in[pos];
@@ -182,11 +163,11 @@ class ChaosPlane final : public detail::MessagePlane {
              {FaultKind::kDrop, collective_, src, dst, i, 0, w, after});
         w = after;
       }
-      out.push_back(w);
+      out.emplace_back(dst, w);
       if (cfg.p_dup > 0 && rng.next_bool(cfg.p_dup)) {
         note(src,
              {FaultKind::kDuplicate, collective_, src, dst, i, 0, w, w});
-        out.push_back(w);
+        out.emplace_back(dst, w);
       }
     }
   }
@@ -198,8 +179,8 @@ class ChaosPlane final : public detail::MessagePlane {
   NodeId n_ = 0;
   std::uint64_t collective_ = 0;  // written by the leader, read by deposits
                                   // of the next collective (barrier-ordered)
-  std::vector<WordQueues> own_;           // [self] corrupted outboxes
-  std::vector<std::vector<Word>> scratch_;  // [self] pre-fault staging
+  std::vector<WordQueues> queues_;  // [self] honest outbox by destination
+  std::vector<std::vector<std::pair<NodeId, Word>>> out_;  // [self] faulted
   std::vector<std::vector<FaultEvent>> pending_;  // [self] fault buffers
   std::vector<std::uint8_t> byz_;
 };

@@ -6,8 +6,8 @@
 // direction: a verifier that accepts a corrupted certificate silently
 // falsifies every hierarchy experiment built on it. Nothing in the honest
 // engine ever feeds a verifier adversarial traffic, so this layer wraps
-// either MessagePlane (Engine::Config::chaos, attached exactly like the
-// round trace) and corrupts deposits before delivery:
+// the MessagePlane (Engine::Config::chaos, attached exactly like the round
+// trace) and corrupts deposits before delivery:
 //
 //   * kFlip      — flip one uniformly chosen bit of a word;
 //   * kDrop      — deliver the word as zero (width preserved, so framing
@@ -20,14 +20,14 @@
 // Every fault decision is a pure function of (plan seed, collective index,
 // src, dst, word position): one SplitMix64 stream per (collective, src, dst)
 // ordered pair, drawn in word order. That makes fault schedules bit-for-bit
-// reproducible across planes, backends and worker counts — the same
-// structural-determinism argument the planes themselves rely on — and lets a
+// reproducible across backends and worker counts — the same
+// structural-determinism argument the plane itself relies on — and lets a
 // failing campaign trial be replayed from four integers.
 //
 // Words a node queues to itself never touch the network and are never
-// faulted. Corruption happens at deposit time into chaos-owned queues (the
-// wrapped plane validates the corrupted traffic exactly as it would honest
-// traffic), and the per-node fault events are flushed into the plan's
+// faulted. Corruption happens at deposit time into a chaos-owned pair list
+// (the wrapped plane validates the corrupted traffic exactly as it would
+// honest traffic), and the per-node fault events are flushed into the plan's
 // ledger by the serial leader in node-id order, so the ledger is
 // deterministic too. The wrapper copies every outbox, which is fine: chaos
 // is a correctness instrument for tests and the soundness campaign, not a
@@ -59,9 +59,8 @@ struct FaultEvent {
   std::uint64_t collective = 0;  ///< 0-based collective index within a run
   NodeId src = 0;
   NodeId dst = 0;
-  /// Word position in the (src→dst) queue. 64-bit: queue lengths are
-  /// size_t and the legacy plane accepts queues past 2³² words, so a
-  /// narrower index would silently alias distinct fault positions.
+  /// Word position in the (src→dst) queue. 64-bit, like the queue lengths
+  /// it indexes, so no index can alias another fault position.
   std::uint64_t index = 0;
   unsigned bit = 0;  ///< kFlip only: which bit was flipped
   Word before;

@@ -38,12 +38,12 @@ struct SharedState {
   // leader step reads and writes everything).
   Scheduler* sched = nullptr;
 
-  // Delivery substrate (Config::plane). Owns outbox slots, the inbox
-  // storage, and — for the flat plane — the persistent counting-sort
-  // arrays, so steady-state collectives allocate nothing. `plane` is the
-  // active substrate for this run: either `owned_plane` (plain Engine::run),
-  // a session's warm plane (EngineSession::run), or — for chaos runs — the
-  // `chaos_wrapper` borrowing one of those.
+  // Delivery substrate. Owns outbox slots, the inbox arena and the
+  // persistent counting-sort arrays, so steady-state collectives allocate
+  // nothing. `plane` is the active substrate for this run: either
+  // `owned_plane` (plain Engine::run), a session's warm plane
+  // (EngineSession::run), or — for chaos runs — the `chaos_wrapper`
+  // borrowing one of those.
   MessagePlane* plane = nullptr;
   std::unique_ptr<MessagePlane> owned_plane;
   std::unique_ptr<MessagePlane> chaos_wrapper;
@@ -245,27 +245,22 @@ void NodeCtx::trace_pop() {
 }
 
 WordQueues NodeCtx::exchange(const WordQueues& out) {
-  // Validation (bandwidth, outbox shape) happens inside the deposit scan.
-  st_->sched->collective(
-      id_, OpTag{detail::kOpExchange, 0},
-      [&] { st_->plane->deposit_queues(id_, &out, /*movable=*/false); },
-      [st = st_] {
-        detail::charge_rounds(*st, detail::deliver(*st, detail::kOpExchange));
-      });
-  return st_->plane->take_queues(id_);
-}
-
-WordQueues NodeCtx::exchange(WordQueues&& out) {
-  // The caller relinquished `out`: the plane may move the self queue into
-  // the inbox instead of copying it. `out` lives in this frame until the
-  // collective completes, so the deposited pointer stays valid.
-  st_->sched->collective(
-      id_, OpTag{detail::kOpExchange, 0},
-      [&] { st_->plane->deposit_queues(id_, &out, /*movable=*/true); },
-      [st = st_] {
-        detail::charge_rounds(*st, detail::deliver(*st, detail::kOpExchange));
-      });
-  return st_->plane->take_queues(id_);
+  const NodeId nn = st_->n;
+  CCQ_CHECK_MSG(out.size() == nn, "outbox must have one queue per node");
+  std::size_t total = 0;
+  for (const auto& q : out) total += q.size();
+  std::vector<std::pair<NodeId, Word>> sends;
+  sends.reserve(total);
+  for (NodeId dst = 0; dst < nn; ++dst) {
+    for (const Word& w : out[dst]) sends.emplace_back(dst, w);
+  }
+  const FlatInbox in = exchange_flat(sends);
+  WordQueues received(nn);
+  for (NodeId src = 0; src < nn; ++src) {
+    const auto words = in.from(src);
+    received[src].assign(words.begin(), words.end());
+  }
+  return received;
 }
 
 FlatInbox NodeCtx::exchange_flat(
@@ -437,11 +432,9 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
   st.max_rounds = config.max_rounds;
   st.seed = config.seed;
   if (session_plane != nullptr) {
-    CCQ_CHECK_MSG(session_plane->kind() == config.plane,
-                  "session plane kind does not match config.plane");
     st.plane = session_plane;
   } else {
-    st.owned_plane = detail::make_message_plane(config.plane);
+    st.owned_plane = detail::make_message_plane();
     st.plane = st.owned_plane.get();
   }
   // Attach the fault plane, if any: Config::chaos wins, else the
@@ -570,7 +563,7 @@ EngineSession::EngineSession(const Shape& shape) : shape_(shape) {
                                            << " outside [1, 8192]");
   sched_ = detail::make_scheduler(shape.backend, shape.workers,
                                   shape.fiber_stack_bytes);
-  plane_ = detail::make_message_plane(shape.plane);
+  plane_ = detail::make_message_plane();
 }
 
 EngineSession::~EngineSession() = default;
@@ -578,7 +571,7 @@ EngineSession::~EngineSession() = default;
 RunResult EngineSession::run(const Instance& instance,
                              const NodeProgram& program,
                              const Engine::Config& config) {
-  // The warm objects are shaped by (n, B, plane, backend, workers, stacks);
+  // The warm objects are shaped by (n, B, backend, workers, stacks);
   // a config naming a different shape must not silently run on them — the
   // caller keyed its cache wrong.
   CCQ_CHECK_MSG(instance.graph.n() == shape_.n,
@@ -586,7 +579,6 @@ RunResult EngineSession::run(const Instance& instance,
                     << shape_.n << " got an instance with n = "
                     << instance.graph.n());
   CCQ_CHECK_MSG(config.bandwidth_multiplier == shape_.bandwidth_multiplier &&
-                    config.plane == shape_.plane &&
                     config.backend == shape_.backend &&
                     config.workers == shape_.workers &&
                     config.fiber_stack_bytes == shape_.fiber_stack_bytes,

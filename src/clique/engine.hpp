@@ -13,8 +13,9 @@
 // calls *collectives* — round(), exchange(), broadcast(), share_bit(). Every
 // node must issue the identical collective sequence; the engine rendezvouses
 // all nodes at each collective, verifies the sequences agree (a divergent
-// sequence is a ModelViolation), delivers messages deterministically, and
-// meters rounds from the actual per-pair queue drain.
+// sequence is a ModelViolation), delivers messages deterministically
+// through the arena-backed message plane (clique/msgplane.hpp), and meters
+// rounds from the actual per-pair queue drain.
 //
 // Node programs execute on a pluggable scheduler backend
 // (Config::backend, see clique/scheduler.hpp): by default they run as
@@ -85,10 +86,10 @@ class NodeCtx {
   /// drains all queues one word per ordered pair per round, so the cost is
   /// max over ordered pairs of the queue length. Returns per-source inboxes
   /// in FIFO order. Words queued to self are delivered free of charge
-  /// (local computation is unlimited). The rvalue overload lets the plane
-  /// move (not copy) the self queue into the inbox.
+  /// (local computation is unlimited). A convenience adapter over
+  /// exchange_flat(): `out` is flattened to (dst, word) pairs in
+  /// destination order and the inbox copied back into queues.
   WordQueues exchange(const WordQueues& out);
-  WordQueues exchange(WordQueues&& out);
 
   /// Allocation-free exchange fast path: sends are (dst, word) pairs in
   /// send order (any number per destination, self allowed); cost semantics
@@ -204,10 +205,6 @@ class Engine {
     std::uint64_t seed = 0x9a7cc1e5u;     ///< common public randomness
     /// Execution backend; results are bit-identical across backends.
     ExecutionBackend backend = ExecutionBackend::kPooled;
-    /// Message plane (delivery substrate); results are bit-identical across
-    /// planes — kLegacy keeps the original per-pair vector queues as the
-    /// auditable baseline, kFlat is the arena-backed counting-sort plane.
-    MessagePlaneKind plane = MessagePlaneKind::kFlat;
     /// Pooled backend: cap on concurrent workers. Sharded backend: the
     /// shard count — the node id space is cut into this many contiguous
     /// owner-computes blocks (the worker team is min(shards, pool size)).
@@ -270,7 +267,6 @@ class EngineSession {
   struct Shape {
     NodeId n = 0;
     unsigned bandwidth_multiplier = 1;
-    MessagePlaneKind plane = MessagePlaneKind::kFlat;
     ExecutionBackend backend = ExecutionBackend::kPooled;
     std::size_t workers = 0;
     std::size_t fiber_stack_bytes = 0;

@@ -7,7 +7,7 @@
 namespace ccq {
 
 // Sole builder of FlatInbox views (friend of FlatInbox): keeps the view's
-// raw pointers constructible only by the planes in this translation unit.
+// raw pointers constructible only by the plane in this translation unit.
 class FlatInboxAccess {
  public:
   static FlatInbox flat(const Word* words, const std::uint32_t* cursor,
@@ -16,15 +16,6 @@ class FlatInboxAccess {
     ib.words_ = words;
     ib.cursor_ = cursor;
     ib.counts_ = counts;
-    ib.self_ = self;
-    ib.n_ = n;
-    return ib;
-  }
-  static FlatInbox legacy(const Word* words, const std::uint64_t* starts,
-                          NodeId self, NodeId n) {
-    FlatInbox ib;
-    ib.words_ = words;
-    ib.starts_ = starts;
     ib.self_ = self;
     ib.n_ = n;
     return ib;
@@ -49,193 +40,6 @@ struct NodeStats {
                                              << "-bit word to node "       \
                                              << (dst) << " but B = "       \
                                              << (bandwidth))
-
-// ---------------------------------------------------------------------------
-// LegacyPlane: the original per-ordered-pair vector queues, kept as the
-// auditable baseline. Deposits validate + meter in one scan (instead of the
-// old separate validate_words pass); delivery reuses inbox queue capacity
-// (clear(), not assign(n, {})) and moves the self queue when the caller
-// handed its outbox over by rvalue.
-// ---------------------------------------------------------------------------
-class LegacyPlane final : public MessagePlane {
- public:
-  MessagePlaneKind kind() const override { return MessagePlaneKind::kLegacy; }
-
-  void init(NodeId n, unsigned bandwidth) override {
-    n_ = n;
-    bandwidth_ = bandwidth;
-    out_slots_.assign(n, nullptr);
-    movable_.assign(n, 0);
-    own_out_.resize(n);
-    in_slots_.resize(n);
-    stats_.assign(n, {});
-    in_totals_.assign(n, 0);
-    inbox_built_.assign(n, 0);
-    inbox_words_.resize(n);
-    inbox_starts_.resize(n);
-  }
-
-  void deposit_queues(NodeId self, const WordQueues* out,
-                      bool movable) override {
-    CCQ_CHECK_MSG(out->size() == n_, "outbox must have one queue per node");
-    NodeStats s;
-    for (NodeId dst = 0; dst < n_; ++dst) {
-      const auto& q = (*out)[dst];
-      // Same per-pair cap the flat plane enforces: the planes must accept
-      // and reject identical outboxes, and downstream consumers (the chaos
-      // ledger's word index, the flat-view conversion) assume it.
-      CCQ_CHECK_MSG(q.size() <= 0xffffffffull,
-                    "queue to node " << dst << " exceeds 2^32 words");
-      if (dst == self || q.empty()) continue;  // self-delivery is free
-      for (const Word& w : q) {
-        CCQ_BANDWIDTH_CHECK(self, dst, w, bandwidth_);
-        s.bits += w.bits;
-      }
-      s.msgs += q.size();
-      s.row_max = std::max<std::uint64_t>(s.row_max, q.size());
-    }
-    stats_[self] = s;
-    out_slots_[self] = out;
-    movable_[self] = movable ? 1 : 0;
-  }
-
-  void deposit_pairs(NodeId self,
-                     std::span<const std::pair<NodeId, Word>> out,
-                     bool unique_dst) override {
-    CCQ_CHECK_MSG(out.size() <= 0xffffffffull,
-                  "deposit exceeds 2^32 words");
-    WordQueues& qs = own_out_[self];
-    qs.resize(n_);
-    for (auto& q : qs) q.clear();
-    NodeStats s;
-    for (const auto& [dst, w] : out) {
-      if (unique_dst) {
-        CCQ_CHECK_MSG(dst < n_, "round(): destination out of range");
-        CCQ_CHECK_MSG(dst != self, "round(): no self-messages in round()");
-        CCQ_CHECK_MSG(qs[dst].empty(),
-                      "round(): at most one word per destination per round");
-      } else {
-        CCQ_CHECK_MSG(dst < n_, "exchange_flat: destination out of range");
-      }
-      qs[dst].push_back(w);
-      if (dst != self) {
-        CCQ_BANDWIDTH_CHECK(self, dst, w, bandwidth_);
-        s.bits += w.bits;
-        s.msgs += 1;
-        s.row_max = std::max<std::uint64_t>(s.row_max, qs[dst].size());
-      }
-    }
-    stats_[self] = s;
-    out_slots_[self] = &qs;
-    movable_[self] = 1;  // plane-owned outbox: moving the self queue is fine
-  }
-
-  void deposit_broadcast(NodeId self, std::span<const Word> words) override {
-    CCQ_CHECK_MSG(words.size() <= 0xffffffffull,
-                  "broadcast exceeds 2^32 words");
-    std::uint64_t wbits = 0;
-    for (const Word& w : words) {
-      CCQ_CHECK_MSG(w.bits <= bandwidth_,
-                    "bandwidth violation: node "
-                        << self << " broadcast a " << w.bits
-                        << "-bit word but B = " << bandwidth_);
-      wbits += w.bits;
-    }
-    WordQueues& qs = own_out_[self];
-    qs.resize(n_);
-    for (auto& q : qs) q.clear();
-    for (NodeId v = 0; v < n_; ++v) {
-      if (v == self) continue;
-      qs[v].assign(words.begin(), words.end());
-    }
-    NodeStats s;
-    if (n_ > 1 && !words.empty()) {
-      s.msgs = static_cast<std::uint64_t>(n_ - 1) * words.size();
-      s.bits = static_cast<std::uint64_t>(n_ - 1) * wbits;
-      s.row_max = words.size();
-    }
-    stats_[self] = s;
-    out_slots_[self] = &qs;
-    movable_[self] = 1;
-  }
-
-  void deliver(Scheduler& /*sched*/, DeliveryAccounting& acc) override {
-    for (NodeId u = 0; u < n_; ++u) {
-      const NodeStats& s = stats_[u];
-      acc.max_queue = std::max(acc.max_queue, s.row_max);
-      acc.messages += s.msgs;
-      acc.bits += s.bits;
-      acc.sent_words[u] += s.msgs;
-    }
-    for (NodeId v = 0; v < n_; ++v) {
-      in_slots_[v].resize(n_);
-      for (auto& q : in_slots_[v]) q.clear();
-      in_totals_[v] = 0;
-      inbox_built_[v] = 0;
-    }
-    for (NodeId u = 0; u < n_; ++u) {
-      const WordQueues& out = *out_slots_[u];
-      for (NodeId v = 0; v < n_; ++v) {
-        if (out[v].empty()) continue;
-        if (u != v) {
-          acc.received_words[v] += out[v].size();
-          in_totals_[v] += out[v].size();
-          in_slots_[v][u] = out[v];
-        } else if (movable_[u]) {
-          // Caller relinquished the outbox (rvalue / plane-owned): the self
-          // queue need not survive delivery, so steal it instead of copying.
-          in_slots_[u][u] = std::move(const_cast<WordQueues&>(out)[u]);
-        } else {
-          in_slots_[u][u] = out[u];
-        }
-      }
-    }
-    for (NodeId v = 0; v < n_; ++v) {
-      acc.max_node_in = std::max(acc.max_node_in, in_totals_[v]);
-    }
-  }
-
-  FlatInbox inbox(NodeId self) override {
-    if (!inbox_built_[self]) {
-      const WordQueues& in = in_slots_[self];
-      auto& starts = inbox_starts_[self];
-      auto& words = inbox_words_[self];
-      starts.resize(static_cast<std::size_t>(n_) + 1);
-      starts[0] = 0;
-      const bool have = in.size() == n_;
-      for (NodeId u = 0; u < n_; ++u) {
-        starts[u + 1] = starts[u] + (have ? in[u].size() : 0);
-      }
-      words.resize(starts[n_]);
-      for (NodeId u = 0; u < n_; ++u) {
-        if (have && !in[u].empty()) {
-          std::copy(in[u].begin(), in[u].end(), words.begin() + starts[u]);
-        }
-      }
-      inbox_built_[self] = 1;
-    }
-    return FlatInboxAccess::legacy(inbox_words_[self].data(),
-                                   inbox_starts_[self].data(), self, n_);
-  }
-
-  WordQueues take_queues(NodeId self) override {
-    return std::move(in_slots_[self]);
-  }
-
- private:
-  NodeId n_ = 0;
-  unsigned bandwidth_ = 0;
-  std::vector<const WordQueues*> out_slots_;
-  std::vector<std::uint8_t> movable_;
-  std::vector<WordQueues> own_out_;  // backing for pair/broadcast deposits
-  std::vector<WordQueues> in_slots_;
-  std::vector<NodeStats> stats_;
-  std::vector<std::uint64_t> in_totals_;  // per-collective inbox words
-  // Lazy flat views for exchange_flat()/round_flat() callers.
-  std::vector<std::uint8_t> inbox_built_;
-  std::vector<std::vector<Word>> inbox_words_;
-  std::vector<std::vector<std::uint64_t>> inbox_starts_;
-};
 
 // ---------------------------------------------------------------------------
 // FlatPlane: arena-backed counting-sort delivery.
@@ -281,8 +85,6 @@ class LegacyPlane final : public MessagePlane {
 // ---------------------------------------------------------------------------
 class FlatPlane final : public MessagePlane {
  public:
-  MessagePlaneKind kind() const override { return MessagePlaneKind::kFlat; }
-
   void init(NodeId n, unsigned bandwidth) override {
     n_ = n;
     bandwidth_ = bandwidth;
@@ -299,33 +101,6 @@ class FlatPlane final : public MessagePlane {
     touch_[0].assign(static_cast<std::size_t>(n) * mask_words_, 0);
     touch_[1].assign(static_cast<std::size_t>(n) * mask_words_, 0);
     block_touch_.assign(num_chunks() * mask_words_, 0);
-  }
-
-  void deposit_queues(NodeId self, const WordQueues* out,
-                      bool /*movable*/) override {
-    CCQ_CHECK_MSG(out->size() == n_, "outbox must have one queue per node");
-    std::uint32_t* cnt = row(self);
-    std::uint64_t* m = mask(self);
-    std::fill_n(m, mask_words_, std::uint64_t{0});
-    NodeStats s;
-    for (NodeId dst = 0; dst < n_; ++dst) {
-      const auto& q = (*out)[dst];
-      // Guard before the narrowing cast: a >= 2^32-word queue would wrap the
-      // histogram entry and slip past deliver()'s total-words check.
-      CCQ_CHECK_MSG(q.size() <= 0xffffffffull,
-                    "queue to node " << dst << " exceeds 2^32 words");
-      cnt[dst] = static_cast<std::uint32_t>(q.size());
-      if (!q.empty()) set_touch(m, dst);  // self runs live in the arena too
-      if (dst == self || q.empty()) continue;  // self-delivery is free
-      for (const Word& w : q) {
-        CCQ_BANDWIDTH_CHECK(self, dst, w, bandwidth_);
-        s.bits += w.bits;
-      }
-      s.msgs += q.size();
-      s.row_max = std::max<std::uint64_t>(s.row_max, q.size());
-    }
-    stats_[self] = s;
-    deposits_[self] = Deposit{Deposit::kQueues, out, nullptr, nullptr, 0};
   }
 
   void deposit_pairs(NodeId self,
@@ -362,7 +137,7 @@ class FlatPlane final : public MessagePlane {
     }
     stats_[self] = s;
     deposits_[self] =
-        Deposit{Deposit::kPairs, nullptr, out.data(), nullptr, out.size()};
+        Deposit{Deposit::kPairs, out.data(), nullptr, out.size()};
   }
 
   void deposit_broadcast(NodeId self, std::span<const Word> words) override {
@@ -395,7 +170,7 @@ class FlatPlane final : public MessagePlane {
     }
     stats_[self] = s;
     deposits_[self] =
-        Deposit{Deposit::kBcast, nullptr, nullptr, words.data(), words.size()};
+        Deposit{Deposit::kBcast, nullptr, words.data(), words.size()};
   }
 
   void deliver(Scheduler& sched, DeliveryAccounting& acc) override {
@@ -503,23 +278,9 @@ class FlatPlane final : public MessagePlane {
                                  counts_[read_parity_].data(), self, n_);
   }
 
-  WordQueues take_queues(NodeId self) override {
-    WordQueues qs(n_);
-    const std::uint32_t* cnts = counts_[read_parity_].data();
-    for (NodeId u = 0; u < n_; ++u) {
-      const std::size_t i = static_cast<std::size_t>(u) * n_ + self;
-      const std::uint32_t c = cnts[i];
-      if (c == 0) continue;
-      const Word* end = arena_.data() + cursor_[i];
-      qs[u].assign(end - c, end);  // exact-size allocation per inbox queue
-    }
-    return qs;
-  }
-
  private:
   struct Deposit {
-    enum Kind : std::uint8_t { kQueues, kPairs, kBcast } kind = kQueues;
-    const WordQueues* queues = nullptr;
+    enum Kind : std::uint8_t { kPairs, kBcast } kind = kPairs;
     const std::pair<NodeId, Word>* pairs = nullptr;
     const Word* bcast = nullptr;
     std::size_t count = 0;  // pairs / broadcast words
@@ -574,14 +335,6 @@ class FlatPlane final : public MessagePlane {
     Word* arena = arena_.data();
     const Deposit& d = deposits_[u];
     switch (d.kind) {
-      case Deposit::kQueues:
-        for (NodeId v = 0; v < n_; ++v) {
-          const auto& q = (*d.queues)[v];
-          if (q.empty()) continue;
-          std::copy(q.begin(), q.end(), arena + cur[v]);
-          cur[v] += static_cast<std::uint32_t>(q.size());
-        }
-        break;
       case Deposit::kPairs:
         for (std::size_t i = 0; i < d.count; ++i) {
           arena[cur[d.pairs[i].first]++] = d.pairs[i].second;
@@ -619,10 +372,7 @@ class FlatPlane final : public MessagePlane {
 
 }  // namespace
 
-std::unique_ptr<MessagePlane> make_message_plane(MessagePlaneKind kind) {
-  if (kind == MessagePlaneKind::kLegacy) {
-    return std::make_unique<LegacyPlane>();
-  }
+std::unique_ptr<MessagePlane> make_message_plane() {
   return std::make_unique<FlatPlane>();
 }
 

@@ -1,34 +1,27 @@
 #pragma once
 
-// Message planes: the engine's delivery substrate.
+// The message plane: the engine's delivery substrate.
 //
 // Every collective funnels through the same superstep shape — each node
 // deposits an outbox, a leader step delivers all deposits and meters the
 // cost, and each node reads its inbox. A MessagePlane owns that data path.
-// Two implementations exist:
+// The one implementation is a reusable CSR-style arena: deposits are
+// recorded as pointers into node-owned buffers plus a per-source histogram
+// row (one scan validates bandwidth and counts at the same time). Delivery
+// is a two-pass counting sort: column sums → exclusive prefix (inbox base
+// per destination) → per-pair cursors → scatter into one shared flat Word
+// arena. The column, cursor and scatter passes run on the scheduler's
+// worker team (Scheduler::leader_parallel_for) over disjoint node ranges,
+// and all arrays persist across collectives, so steady-state collectives
+// perform zero heap allocations and the delivery step scales with cores.
 //
-//   * MessagePlaneKind::kLegacy — per-ordered-pair vector queues
-//     (`WordQueues`), the original delivery loop. Θ(n²) vector objects per
-//     collective regardless of traffic; kept as the auditable semantic
-//     baseline.
-//
-//   * MessagePlaneKind::kFlat (default) — a reusable CSR-style arena.
-//     Deposits are recorded as pointers into node-owned buffers plus a
-//     per-source histogram row (one scan validates bandwidth and counts at
-//     the same time). Delivery is a two-pass counting sort: column sums →
-//     exclusive prefix (inbox base per destination) → per-pair cursors →
-//     scatter into one shared flat Word arena. The column, cursor and
-//     scatter passes run on the scheduler's worker team
-//     (Scheduler::leader_parallel_for) over disjoint node ranges, and all
-//     arrays persist across collectives, so steady-state collectives
-//     perform zero heap allocations and the delivery step scales with
-//     cores.
-//
-// Both planes deliver bit-for-bit identical inboxes and meter identical
-// costs (asserted by tests/clique/msgplane_test.cpp across backends,
-// worker counts and traffic patterns); determinism is structural — chunk
-// outputs are partitioned by node id, and every reduction the leader
-// performs iterates nodes in id order.
+// Outboxes come in two shapes: (dst, word) pairs in send order, and one
+// word sequence broadcast to every other node. Queue-shaped callers
+// (NodeCtx::exchange) flatten to pairs first. Inboxes and meters are
+// bit-for-bit identical across backends and worker counts (asserted by
+// tests/clique/msgplane_test.cpp against an engine-free oracle);
+// determinism is structural — chunk outputs are partitioned by node id,
+// and every reduction the leader performs iterates nodes in id order.
 
 #include <cstdint>
 #include <memory>
@@ -45,44 +38,32 @@ namespace ccq {
 /// Per-destination (or per-source) word queues; index = peer node id.
 using WordQueues = std::vector<std::vector<Word>>;
 
-/// Which delivery substrate Engine::run uses (Engine::Config::plane).
-enum class MessagePlaneKind {
-  kLegacy,  ///< per-pair vector queues (reference)
-  kFlat,    ///< default: arena-backed counting-sort delivery
-};
-
 /// Read-only view of one node's delivered inbox: the words received from
 /// each source, FIFO per source, as spans into the plane's storage. Valid
 /// until this node's next collective (the next delivery reuses the arena).
 class FlatInbox {
  public:
   std::span<const Word> from(NodeId src) const {
-    if (cursor_ != nullptr) {
-      // Flat plane: cursors sit one past the end of each (src → self) run
-      // after the scatter; the run length is the histogram entry. An empty
-      // run must not touch the cursor at all — the block-sparse delivery
-      // passes skip cursor writes for untouched shard×shard blocks, so a
-      // zero-count entry may sit over a stale cursor value.
-      const std::size_t i = static_cast<std::size_t>(src) * n_ + self_;
-      const std::uint32_t count = counts_[i];
-      if (count == 0) return {};
-      return {words_ + (cursor_[i] - count), count};
-    }
-    return {words_ + starts_[src],
-            static_cast<std::size_t>(starts_[src + 1] - starts_[src])};
+    // Cursors sit one past the end of each (src → self) run after the
+    // scatter; the run length is the histogram entry. An empty run must not
+    // touch the cursor at all — the block-sparse delivery passes skip cursor
+    // writes for untouched shard×shard blocks, so a zero-count entry may sit
+    // over a stale cursor value.
+    const std::size_t i = static_cast<std::size_t>(src) * n_ + self_;
+    const std::uint32_t count = counts_[i];
+    if (count == 0) return {};
+    return {words_ + (cursor_[i] - count), count};
   }
   NodeId n() const { return n_; }
 
  private:
   friend class FlatInboxAccess;
   const Word* words_ = nullptr;
-  // Flat-plane layout: row-major [src * n + dst] cursor/count arrays
-  // (32-bit: a collective's arena cannot reach 2³² words on any host this
-  // simulator fits on, and the engine checks).
+  // Row-major [src * n + dst] cursor/count arrays (32-bit: a collective's
+  // arena cannot reach 2³² words on any host this simulator fits on, and
+  // the plane checks).
   const std::uint32_t* cursor_ = nullptr;
   const std::uint32_t* counts_ = nullptr;
-  // Legacy layout: per-source exclusive prefix (n + 1 entries).
-  const std::uint64_t* starts_ = nullptr;
   NodeId self_ = 0;
   NodeId n_ = 0;
 };
@@ -109,20 +90,16 @@ struct DeliveryAccounting {
 // destination range, round() uniqueness) during their single scan, so the
 // engine never re-walks an outbox just to check it. deliver() runs in the
 // serial leader step and may fan work out via sched.leader_parallel_for.
-// inbox()/take_queues() run on node fibers after delivery.
+// inbox() runs on node fibers after delivery. The arena plane is the one
+// implementation; the interface exists so the chaos layer (clique/chaos.hpp)
+// can wrap it.
 class MessagePlane {
  public:
   virtual ~MessagePlane() = default;
-  virtual MessagePlaneKind kind() const = 0;
 
   /// Reset for a run with n nodes and B-bit words.
   virtual void init(NodeId n, unsigned bandwidth) = 0;
 
-  /// Outbox = one queue per destination. `movable` permits the plane to
-  /// move (not copy) the self queue into the inbox — legal only when the
-  /// caller passed its outbox by rvalue.
-  virtual void deposit_queues(NodeId self, const WordQueues* out,
-                              bool movable) = 0;
   /// Outbox = (dst, word) pairs in send order. `unique_dst` enforces
   /// round()'s one-word-per-destination, no-self rule.
   virtual void deposit_pairs(NodeId self,
@@ -137,12 +114,10 @@ class MessagePlane {
 
   /// This node's inbox as per-source spans (see FlatInbox lifetime).
   virtual FlatInbox inbox(NodeId self) = 0;
-  /// This node's inbox as per-source queues (exchange() compatibility);
-  /// consumes the inbox.
-  virtual WordQueues take_queues(NodeId self) = 0;
 };
 
-std::unique_ptr<MessagePlane> make_message_plane(MessagePlaneKind kind);
+/// The arena-backed counting-sort plane.
+std::unique_ptr<MessagePlane> make_message_plane();
 
 }  // namespace detail
 }  // namespace ccq

@@ -22,8 +22,8 @@
 //
 // Determinism contract: every field above the "observability-only" line is
 // a pure function of (program, instance, config.bandwidth_multiplier,
-// seed) — identical across {kLegacy, kFlat} planes, {kPooled, kSharded,
-// kThreadPerNode} backends, and worker/shard counts. deterministic_eq()
+// seed) — identical across {kPooled, kSharded, kThreadPerNode} backends
+// and worker/shard counts. deterministic_eq()
 // compares exactly that subset; the occupancy fields are wall-clock /
 // backend-shaped and excluded. tests/clique/trace_test.cpp pins the
 // contract on randomized traffic.

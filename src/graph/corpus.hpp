@@ -5,7 +5,7 @@
 // Every bench used to run synthetic generators at a handful of sizes; the
 // corpus layer makes graph *inputs* first-class so the scenario matrix
 // (DESIGN.md §14, bench_matrix) can sweep {algorithm} × {graph family} ×
-// {n} × {plane/backend} × {chaos} from a declarative manifest. Two halves:
+// {n} × {backend} × {chaos} from a declarative manifest. Two halves:
 //
 //  * Loaders — a text edge-list format and a binary CSR format, both with
 //    strict validation. A malformed file is a ModelViolation naming the

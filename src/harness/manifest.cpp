@@ -68,12 +68,17 @@ std::vector<const JsonValue*> axis_values(const JsonValue* v) {
   return out;
 }
 
-MessagePlaneKind parse_plane(const JsonValue& v, const std::string& origin) {
+// "plane" stays an accepted key so existing manifests and job frames keep
+// parsing, but the arena plane is the only one left: "flat" is its only
+// value, and the value selects nothing.
+void check_plane(const JsonValue& v, const std::string& origin) {
   const std::string s = as_string(v, "plane", origin);
-  if (s == "flat") return MessagePlaneKind::kFlat;
-  if (s == "legacy") return MessagePlaneKind::kLegacy;
-  fail_at(origin, v.line,
-          "unknown plane '" + s + "' (accepted: flat, legacy)");
+  if (s == "flat") return;
+  if (s == "legacy")
+    fail_at(origin, v.line,
+            "plane 'legacy' was removed; the flat arena plane is the only "
+            "message plane (accepted: flat)");
+  fail_at(origin, v.line, "unknown plane '" + s + "' (accepted: flat)");
 }
 
 ExecutionBackend parse_backend(const JsonValue& v,
@@ -100,10 +105,6 @@ std::string read_file(const std::string& path) {
 
 }  // namespace
 
-const char* plane_name(MessagePlaneKind k) {
-  return k == MessagePlaneKind::kFlat ? "flat" : "legacy";
-}
-
 const char* backend_name(ExecutionBackend b) {
   switch (b) {
     case ExecutionBackend::kPooled: return "pooled";
@@ -116,8 +117,7 @@ std::string CellSpec::id() const {
   std::ostringstream os;
   if (!label.empty()) os << label << "/";
   os << algorithm << "/" << family.name << "/n=" << n << "/"
-     << plane_name(plane) << "/" << backend_name(backend)
-     << "/chaos=" << (chaos ? "on" : "off");
+     << backend_name(backend) << "/chaos=" << (chaos ? "on" : "off");
   if (workers != 0) os << "/w=" << workers;
   if (bandwidth != 1) os << "/B=" << bandwidth;
   return os.str();
@@ -189,7 +189,8 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
   const auto algs = axis_values(alg);
   const auto fams = axis_values(fam);
   const auto ns = axis_values(nv);
-  auto planes = axis_values(group.find("plane"));
+  for (const JsonValue* pv : axis_values(group.find("plane")))
+    check_plane(*pv, origin);
   auto backends = axis_values(group.find("backend"));
   auto chaoses = axis_values(group.find("chaos"));
 
@@ -219,13 +220,6 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
       for (const JsonValue* nn : ns) {
         CellSpec c = f;
         c.n = static_cast<NodeId>(as_uint(*nn, 1, 8192, "n", origin));
-        std::vector<MessagePlaneKind> pl;
-        if (planes.empty()) {
-          pl.push_back(MessagePlaneKind::kFlat);
-        } else {
-          for (const JsonValue* pv : planes)
-            pl.push_back(parse_plane(*pv, origin));
-        }
         std::vector<ExecutionBackend> be;
         if (backends.empty()) {
           be.push_back(ExecutionBackend::kPooled);
@@ -240,20 +234,18 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
           for (const JsonValue* cv : chaoses)
             ch.push_back(as_bool(*cv, "chaos", origin));
         }
-        for (MessagePlaneKind p : pl)
-          for (ExecutionBackend b : be)
-            for (bool cx : ch) {
-              CellSpec cell = c;
-              cell.plane = p;
-              cell.backend = b;
-              cell.chaos = cx;
-              const std::string cid = cell.id();
-              if (!seen_ids.insert(cid).second)
-                fail_at(origin, group.line,
-                        "duplicate expanded cell id '" + cid +
-                            "' (use 'label' to disambiguate)");
-              out.push_back(std::move(cell));
-            }
+        for (ExecutionBackend b : be)
+          for (bool cx : ch) {
+            CellSpec cell = c;
+            cell.backend = b;
+            cell.chaos = cx;
+            const std::string cid = cell.id();
+            if (!seen_ids.insert(cid).second)
+              fail_at(origin, group.line,
+                      "duplicate expanded cell id '" + cid +
+                          "' (use 'label' to disambiguate)");
+            out.push_back(std::move(cell));
+          }
       }
     }
   }

@@ -3,13 +3,15 @@
 // Declarative sweep manifests for the scenario matrix (DESIGN.md §14).
 //
 // A manifest is a JSON file describing a grid of measurement cells:
-// {algorithm} × {graph family} × {n} × {plane/backend} × {chaos on/off}.
+// {algorithm} × {graph family} × {n} × {backend} × {chaos on/off}.
 // Each entry in "cells" is a *group* whose axis-valued keys (algorithm,
-// family, n, plane, backend, chaos) may be single values or arrays; the
-// group expands to the cross product. Parsing is strict: unknown keys,
-// unknown enum values, out-of-range numbers, and duplicate expanded cell
-// ids are all ModelViolations naming the manifest — a manifest nobody can
-// trust is a trajectory nobody can read.
+// family, n, backend, chaos) may be single values or arrays; the group
+// expands to the cross product. "plane" is still accepted for old
+// manifests and job frames, but its only value is "flat" and it does not
+// expand: the arena plane is the only message plane. Parsing is strict:
+// unknown keys, unknown enum values, out-of-range numbers, and duplicate
+// expanded cell ids are all ModelViolations naming the manifest — a
+// manifest nobody can trust is a trajectory nobody can read.
 //
 // The full schema (every key, type, default, validation rule) is documented
 // in DESIGN.md §14; tools/check_docs.py cross-checks that table against the
@@ -31,7 +33,6 @@ struct CellSpec {
   std::string algorithm;  ///< sweep registry key (harness/sweep.hpp)
   corpus::FamilySpec family;
   NodeId n = 64;
-  MessagePlaneKind plane = MessagePlaneKind::kFlat;
   ExecutionBackend backend = ExecutionBackend::kPooled;
   bool chaos = false;
   // Default fault profile is flip+drop only: both preserve word counts, so
@@ -47,7 +48,7 @@ struct CellSpec {
   std::uint64_t seed = 1;
 
   /// Canonical identity used to match cells across runs (the trajectory
-  /// checker's join key): "[label/]algorithm/family/n=../plane/backend/
+  /// checker's join key): "[label/]algorithm/family/n=../backend/
   /// chaos=on|off[/w=..][/B=..]". Tuning parameters (p, seed, ...) are not
   /// part of the id — cells are *scenarios*; retuning one is a baseline
   /// refresh, not a new scenario.
@@ -73,7 +74,6 @@ Manifest load_manifest(const std::string& path);
 /// names the connection in errors.
 CellSpec parse_job_cell(const json::Value& job, const std::string& origin);
 
-const char* plane_name(MessagePlaneKind k);
 const char* backend_name(ExecutionBackend b);
 
 }  // namespace ccq::harness

@@ -157,7 +157,6 @@ std::uint64_t ledger_fingerprint(const RoundTrace& trace) {
 
 Engine::Config cell_engine_config(const CellSpec& spec) {
   Engine::Config cfg;
-  cfg.plane = spec.plane;
   cfg.backend = spec.backend;
   cfg.workers = std::min<std::size_t>(spec.workers, spec.n);
   cfg.bandwidth_multiplier = spec.bandwidth;

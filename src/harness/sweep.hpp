@@ -3,7 +3,7 @@
 // Scenario-matrix sweep runner (DESIGN.md §14).
 //
 // run_cell() executes one manifest cell end to end: instantiate the graph
-// family, build the Engine::Config the cell names (plane, backend, workers,
+// family, build the Engine::Config the cell names (backend, workers,
 // bandwidth), attach a fresh RoundTrace (and, for chaos cells, a fresh
 // ChaosPlan), run the registered algorithm, and cross-check the CostMeter
 // against the trace ledger — per cell, every run. A cell whose ledger does
@@ -34,7 +34,7 @@ const std::vector<std::string>& algorithm_names();
 /// Resolve a registered algorithm by name (ModelViolation if unknown).
 NodeProgram find_algorithm(const std::string& name);
 
-/// The Engine::Config a cell names: plane, backend, workers (clamped to n),
+/// The Engine::Config a cell names: backend, workers (clamped to n),
 /// bandwidth, and the cell-derived engine seed. trace/chaos are left null —
 /// callers attach per-run instruments.
 Engine::Config cell_engine_config(const CellSpec& spec);
@@ -47,7 +47,7 @@ std::uint64_t outputs_fp(const std::vector<std::uint64_t>& outputs);
 
 /// FNV-1a over the deterministic fields of every trace record, in ledger
 /// order. Two runs of the same cell must produce equal fingerprints on any
-/// backend/plane/worker count; ccqd results carry this so a service-side
+/// backend/worker count; ccqd results carry this so a service-side
 /// ledger can be compared bit-for-bit against a library-path run.
 std::uint64_t ledger_fingerprint(const RoundTrace& trace);
 

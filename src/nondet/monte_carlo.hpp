@@ -26,7 +26,7 @@ struct OneSidedMonteCarlo {
   std::string name;
   /// Deterministic single-trial run under a public seed. Must have no
   /// false positives. Returns the engine result (all-1 outputs = accept).
-  /// The engine config is passed through so callers can select the plane /
+  /// The engine config is passed through so callers can select the
   /// backend or attach fault injection (clique/chaos.hpp) for the trial.
   std::function<RunResult(const Graph&, std::uint64_t seed,
                           const Engine::Config&)>
@@ -55,7 +55,7 @@ class MonteCarloVerifier {
   /// Verify a claimed seed: one agreement round (all nodes must hold the
   /// same seed — a forged, disagreeing certificate is rejected) plus the
   /// deterministic trial. Returns the combined engine result. Both runs
-  /// execute under `config` (plane/backend selection, fault injection).
+  /// execute under `config` (backend selection, fault injection).
   RunResult verify(const Graph& g, const Labelling& z,
                    const Engine::Config& config = {}) const;
 

@@ -58,7 +58,7 @@ struct RoundVerifier {
 
 /// Execute the verifier on (g, z) through the clique engine (so the run is
 /// metered and bandwidth-checked). z must assign each node exactly
-/// label_bits(n) bits. `config` selects the plane / backend and may attach
+/// label_bits(n) bits. `config` selects the backend and may attach
 /// fault injection (clique/chaos.hpp) — the soundness campaign sweeps it.
 RunResult run_verifier(const Graph& g, const RoundVerifier& v,
                        const Labelling& z,

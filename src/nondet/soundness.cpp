@@ -352,10 +352,8 @@ Report run_case(const Case& c, NodeId n, unsigned trials,
     }
 
     Engine::Config cfg;
-    cfg.plane = t % 2 == 0 ? MessagePlaneKind::kFlat
-                           : MessagePlaneKind::kLegacy;
-    cfg.backend = (t / 2) % 2 == 0 ? ExecutionBackend::kPooled
-                                   : ExecutionBackend::kThreadPerNode;
+    cfg.backend = t % 2 == 0 ? ExecutionBackend::kPooled
+                             : ExecutionBackend::kThreadPerNode;
 
     // Clean: the honest certificate must be accepted.
     r.clean_accepts += c.accepts(inst, inst.certificate, cfg) ? 1 : 0;

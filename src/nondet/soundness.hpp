@@ -21,8 +21,8 @@
 //                per-case floor (soundness against a lying node is
 //                probabilistic — garbage can collide with the truth).
 //
-// Trials sweep message plane and execution backend, so a soundness escape
-// in either substrate fails the campaign, not just the semantics.
+// Trials alternate the execution backend, so a soundness escape on either
+// backend fails the campaign, not just the semantics.
 
 #include <cstdint>
 #include <functional>
@@ -49,7 +49,7 @@ struct Case {
   /// Deterministically build a yes-instance plus honest certificate.
   std::function<Instance(NodeId n, std::uint64_t seed)> prepare;
   /// Run the case's verifier on (instance, certificate) under `config`
-  /// (plane/backend selection, fault injection) and report acceptance.
+  /// (backend selection, fault injection) and report acceptance.
   std::function<bool(const Instance&, const Labelling&,
                      const Engine::Config&)>
       accepts;
@@ -79,12 +79,11 @@ struct Report {
   bool ok() const { return clean_ok() && corrupt_ok() && byz_ok(); }
 };
 
-/// Run one case for `trials` seeded trials at size n. Trial t alternates
-/// the message plane (t % 2) and execution backend ((t / 2) % 2), reuses
-/// each prepared instance for a few consecutive trials (fresh corruption
-/// every trial), and derives the corrupted node / bit / byzantine fault
-/// stream from (seed, t) alone — a failing trial replays from two
-/// integers.
+/// Run one case for `trials` seeded trials at size n. Trial t runs on the
+/// pooled backend when t is even and thread-per-node when odd, reuses each
+/// prepared instance for a few consecutive trials (fresh corruption every
+/// trial), and derives the corrupted node / bit / byzantine fault stream
+/// from (seed, t) alone — a failing trial replays from two integers.
 Report run_case(const Case& c, NodeId n, unsigned trials,
                 std::uint64_t seed = 0x5eedULL);
 

@@ -85,7 +85,6 @@ EngineSession::Shape cell_shape(const harness::CellSpec& spec) {
   EngineSession::Shape shape;
   shape.n = spec.n;
   shape.bandwidth_multiplier = cfg.bandwidth_multiplier;
-  shape.plane = cfg.plane;
   shape.backend = cfg.backend;
   shape.workers = cfg.workers;
   shape.fiber_stack_bytes = cfg.fiber_stack_bytes;

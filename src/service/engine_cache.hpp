@@ -13,7 +13,7 @@
 //     function of the graph, so a cached instance is bit-identical to what
 //     Engine::run would derive per run.
 //
-//   * EngineCache — keyed by EngineSession::Shape (n, B-multiplier, plane,
+//   * EngineCache — keyed by EngineSession::Shape (n, B-multiplier,
 //     backend, workers, stack bytes): a pool of idle warm sessions.
 //     acquire() hands out an exclusive lease (concurrent jobs on the same
 //     key get *distinct* sessions — a session is single-run); release()

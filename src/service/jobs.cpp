@@ -103,7 +103,6 @@ std::string job_result_json(const harness::CellSpec& spec,
      << ", \"algorithm\": \"" << json_escape(spec.algorithm) << "\""
      << ", \"family\": \"" << json_escape(spec.family.name) << "\""
      << ", \"n\": " << spec.n
-     << ", \"plane\": \"" << harness::plane_name(spec.plane) << "\""
      << ", \"backend\": \"" << harness::backend_name(spec.backend) << "\""
      << ", \"chaos\": \"" << (spec.chaos ? "on" : "off") << "\""
      << ", \"rounds\": " << r.cost.rounds

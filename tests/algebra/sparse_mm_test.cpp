@@ -249,41 +249,37 @@ TEST(SparseMM, DeterministicAcrossPlanesBackendsWorkers) {
     RoundTrace trace;
   };
   std::deque<Obs> obs;
-  for (MessagePlaneKind plane :
-       {MessagePlaneKind::kFlat, MessagePlaneKind::kLegacy}) {
-    for (ExecutionBackend backend :
-         {ExecutionBackend::kPooled, ExecutionBackend::kSharded,
-          ExecutionBackend::kThreadPerNode}) {
-      for (std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
-        Obs& o = obs.emplace_back();
-        Engine::Config ecfg;
-        ecfg.plane = plane;
-        ecfg.backend = backend;
-        ecfg.workers = workers;
-        ecfg.trace = &o.trace;
-        PerNode<std::vector<std::uint64_t>> sink(nn);
-        auto run = Engine::run(
-            gen::empty(nn),
-            [&](NodeCtx& ctx) {
-              SplitMix64 rng(77 ^ (ctx.id() * 0x9e3779b9ULL));
-              std::vector<MinPlusSemiring::Value> ra(
-                  nn, MinPlusSemiring::infinity());
-              std::vector<MinPlusSemiring::Value> rb(
-                  nn, MinPlusSemiring::infinity());
-              for (int t = 0; t < 3; ++t) {
-                ra[rng.next_below(nn)] = rng.next_below(30);
-                rb[rng.next_below(nn)] = rng.next_below(30);
-              }
-              auto rc = mm_distributed_sparse<MinPlusSemiring>(
-                  ctx, MmShape{nn, nn, nn}, ra, rb, 8);
-              sink.set(ctx.id(), rc);
-              ctx.output(rc[0]);
-            },
-            ecfg);
-        o.rows = sink.take();
-        o.cost = run.cost;
-        EXPECT_TRUE(o.trace.totals_match());
-      }
+  for (ExecutionBackend backend :
+       {ExecutionBackend::kPooled, ExecutionBackend::kSharded,
+        ExecutionBackend::kThreadPerNode}) {
+    for (std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
+      Obs& o = obs.emplace_back();
+      Engine::Config ecfg;
+      ecfg.backend = backend;
+      ecfg.workers = workers;
+      ecfg.trace = &o.trace;
+      PerNode<std::vector<std::uint64_t>> sink(nn);
+      auto run = Engine::run(
+          gen::empty(nn),
+          [&](NodeCtx& ctx) {
+            SplitMix64 rng(77 ^ (ctx.id() * 0x9e3779b9ULL));
+            std::vector<MinPlusSemiring::Value> ra(
+                nn, MinPlusSemiring::infinity());
+            std::vector<MinPlusSemiring::Value> rb(
+                nn, MinPlusSemiring::infinity());
+            for (int t = 0; t < 3; ++t) {
+              ra[rng.next_below(nn)] = rng.next_below(30);
+              rb[rng.next_below(nn)] = rng.next_below(30);
+            }
+            auto rc = mm_distributed_sparse<MinPlusSemiring>(
+                ctx, MmShape{nn, nn, nn}, ra, rb, 8);
+            sink.set(ctx.id(), rc);
+            ctx.output(rc[0]);
+          },
+          ecfg);
+      o.rows = sink.take();
+      o.cost = run.cost;
+      EXPECT_TRUE(o.trace.totals_match());
     }
   }
   for (std::size_t i = 1; i < obs.size(); ++i) {

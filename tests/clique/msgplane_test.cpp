@@ -1,18 +1,22 @@
-// Equivalence suite for the message planes (clique/msgplane.hpp).
+// Property suite for the message plane (clique/msgplane.hpp).
 //
-// The plane contract promises bit-for-bit identical RunResults — outputs
-// and every CostMeter field — between the legacy per-pair-queue plane and
-// the flat arena plane, on either execution backend and any worker count.
-// The property test below drives ~100 randomised traffic patterns
-// (skewed all-to-all, single hot pair, empty, random sparse with
-// self-sends) through every (plane, backend) combination and requires the
-// results to match the legacy/thread-per-node reference exactly. Targeted
-// tests pin the flat-specific behaviours: span views matching queue
-// views, FIFO order, free self-delivery, validation at deposit time.
+// The plane contract promises that delivery is invisible to the cost
+// model: outputs and every CostMeter field are a function of the send
+// lists alone, on any execution backend and any worker count. The property
+// test below drives ~100 randomised traffic patterns (skewed all-to-all,
+// single hot pair, empty, random sparse with self-sends) through every
+// backend setup and requires each result to equal an engine-free oracle
+// that derives the expected inboxes and meters directly from the send
+// lists. Targeted tests pin the arena-specific behaviours: span views
+// matching queue views, FIFO order, free self-delivery, validation at
+// deposit time.
 
 #include "clique/msgplane.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
 
 #include "clique/engine.hpp"
 #include "graph/generators.hpp"
@@ -21,35 +25,22 @@
 namespace ccq {
 namespace {
 
-struct PlaneSetup {
-  MessagePlaneKind plane;
+struct BackendSetup {
   ExecutionBackend backend;
   std::size_t workers;  // pooled: worker cap; sharded: shard count; 0 = hw
   const char* name;
 };
 
-const PlaneSetup kSetups[] = {
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kThreadPerNode, 0,
-     "legacy/thread-per-node"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kPooled, 2,
-     "legacy/pooled-2"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kPooled, 0,
-     "legacy/pooled-hw"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kThreadPerNode, 0,
-     "flat/thread-per-node"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 2, "flat/pooled-2"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 0, "flat/pooled-hw"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kSharded, 3,
-     "legacy/sharded-3"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kSharded, 5,
-     "flat/sharded-5"},  // non-dividing shard count
-    {MessagePlaneKind::kFlat, ExecutionBackend::kSharded, 0,
-     "flat/sharded-hw"},
+const BackendSetup kSetups[] = {
+    {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
+    {ExecutionBackend::kPooled, 2, "pooled-2"},
+    {ExecutionBackend::kPooled, 0, "pooled-hw"},
+    {ExecutionBackend::kSharded, 5, "sharded-5"},  // non-dividing shards
+    {ExecutionBackend::kSharded, 0, "sharded-hw"},
 };
 
-Engine::Config config_for(const PlaneSetup& s) {
+Engine::Config config_for(const BackendSetup& s) {
   Engine::Config cfg;
-  cfg.plane = s.plane;
   cfg.backend = s.backend;
   cfg.workers = s.workers;
   return cfg;
@@ -76,12 +67,11 @@ enum PatternKind : int {
   kPatternKinds = 4,
 };
 
-std::vector<std::pair<NodeId, Word>> make_sends(NodeCtx& ctx,
+std::vector<std::pair<NodeId, Word>> make_sends(NodeId id, NodeId n,
+                                                unsigned B,
                                                 std::uint64_t seed,
                                                 int kind) {
-  const NodeId n = ctx.n();
-  const unsigned B = ctx.bandwidth();
-  SplitMix64 rng(seed * 1000003 + ctx.id() * 7919 + kind);
+  SplitMix64 rng(seed * 1000003 + id * 7919 + kind);
   std::vector<std::pair<NodeId, Word>> sends;
   auto word = [&] {
     const unsigned bits = 1 + static_cast<unsigned>(rng.next_below(B));
@@ -91,12 +81,12 @@ std::vector<std::pair<NodeId, Word>> make_sends(NodeCtx& ctx,
   switch (kind) {
     case kSkewedAllToAll:
       for (NodeId dst = 0; dst < n; ++dst) {
-        const NodeId reps = (ctx.id() + dst) % 4;
+        const NodeId reps = (id + dst) % 4;
         for (NodeId i = 0; i < reps; ++i) sends.emplace_back(dst, word());
       }
       break;
     case kSingleHotPair:
-      if (ctx.id() == static_cast<NodeId>(seed % n)) {
+      if (id == static_cast<NodeId>(seed % n)) {
         const NodeId dst = static_cast<NodeId>((seed + 1) % n);
         for (NodeId i = 0; i < 3 * n; ++i) sends.emplace_back(dst, word());
       }
@@ -114,63 +104,155 @@ std::vector<std::pair<NodeId, Word>> make_sends(NodeCtx& ctx,
   return sends;
 }
 
-// Fingerprints every word received — source, position, value, width — so
-// any divergence in content, FIFO order, or metering shows up in outputs.
-void traffic_program(NodeCtx& ctx, std::uint64_t seed, int kind) {
-  const NodeId n = ctx.n();
-  std::uint64_t fp = 0xcbf29ce484222325ull;
-  auto mix = [&fp](std::uint64_t v) { fp = (fp ^ v) * 0x100000001b3ull; };
+// The ring send of round_flat(): node id sends one bit to its successor.
+std::optional<Word> ring_word(NodeId id, NodeId n, std::uint64_t seed) {
+  if (n > 1 && (seed + id) % 3 != 0) return Word((seed ^ id) & 1, 1);
+  return std::nullopt;
+}
 
-  const auto sends = make_sends(ctx, seed, kind);
-
-  // The same pattern through all three deposit shapes.
-  // 1) exchange() with per-destination queues (lvalue).
-  WordQueues out(n);
-  for (const auto& [dst, w] : sends) out[dst].push_back(w);
-  const WordQueues in = ctx.exchange(out);
-  for (NodeId src = 0; src < n; ++src) {
-    for (const Word& w : in[src]) mix(src * 131 + w.value * 31 + w.bits);
-  }
-
-  // 2) exchange() by rvalue (self queue may be moved, not copied).
-  WordQueues out2(n);
-  for (const auto& [dst, w] : sends) out2[dst].push_back(w);
-  const WordQueues in2 = ctx.exchange(std::move(out2));
-  for (NodeId src = 0; src < n; ++src) {
-    for (const Word& w : in2[src]) mix(src * 137 + w.value * 29 + w.bits);
-  }
-
-  // 3) exchange_flat() with the raw pair list.
-  const FlatInbox fin = ctx.exchange_flat(sends);
-  for (NodeId src = 0; src < n; ++src) {
-    for (const Word& w : fin.from(src)) mix(src * 139 + w.value * 37 + w.bits);
-  }
-
-  // round_flat(): a seed-dependent ring send.
-  std::vector<std::pair<NodeId, Word>> ring;
-  if (n > 1 && (seed + ctx.id()) % 3 != 0) {
-    ring.emplace_back((ctx.id() + 1) % n, Word((seed ^ ctx.id()) & 1, 1));
-  }
-  const FlatInbox rin = ctx.round_flat(ring);
-  for (NodeId src = 0; src < n; ++src) {
-    const auto got = rin.from(src);
-    if (!got.empty()) mix(src * 149 + got.front().value);
-  }
-
-  // broadcast(): same length on every node (engine-checked), varied by seed.
+// The broadcast() payload: seed % 9 bits, bit i = bit i of seed.
+BitVector broadcast_bits(std::uint64_t seed) {
   BitVector mine(seed % 9);
   for (std::size_t i = 0; i < mine.size(); ++i) {
     if ((seed >> i) & 1) mine.set(i);
   }
-  for (const BitVector& r : ctx.broadcast(mine)) mix(r.popcount() + 7);
+  return mine;
+}
 
-  mix(ctx.rounds_so_far());
-  ctx.output(fp);
+struct Fingerprint {
+  std::uint64_t fp = 0xcbf29ce484222325ull;
+  void mix(std::uint64_t v) { fp = (fp ^ v) * 0x100000001b3ull; }
+};
+
+// Fingerprints every word received — source, position, value, width — so
+// any divergence in content, FIFO order, or metering shows up in outputs.
+void traffic_program(NodeCtx& ctx, std::uint64_t seed, int kind) {
+  const NodeId n = ctx.n();
+  Fingerprint f;
+  const auto sends = make_sends(ctx.id(), n, ctx.bandwidth(), seed, kind);
+
+  // The same pattern through both exchange APIs.
+  // 1) exchange() with per-destination queues.
+  WordQueues out(n);
+  for (const auto& [dst, w] : sends) out[dst].push_back(w);
+  const WordQueues in = ctx.exchange(out);
+  for (NodeId src = 0; src < n; ++src) {
+    for (const Word& w : in[src]) f.mix(src * 131 + w.value * 31 + w.bits);
+  }
+
+  // 2) exchange_flat() with the raw pair list.
+  const FlatInbox fin = ctx.exchange_flat(sends);
+  for (NodeId src = 0; src < n; ++src) {
+    for (const Word& w : fin.from(src)) {
+      f.mix(src * 139 + w.value * 37 + w.bits);
+    }
+  }
+
+  // round_flat(): a seed-dependent ring send.
+  std::vector<std::pair<NodeId, Word>> ring;
+  if (const auto w = ring_word(ctx.id(), n, seed)) {
+    ring.emplace_back((ctx.id() + 1) % n, *w);
+  }
+  const FlatInbox rin = ctx.round_flat(ring);
+  for (NodeId src = 0; src < n; ++src) {
+    const auto got = rin.from(src);
+    if (!got.empty()) f.mix(src * 149 + got.front().value);
+  }
+
+  // broadcast(): same length on every node (engine-checked), varied by seed.
+  for (const BitVector& r : ctx.broadcast(broadcast_bits(seed))) {
+    f.mix(r.popcount() + 7);
+  }
+
+  f.mix(ctx.rounds_so_far());
+  ctx.output(f.fp);
+}
+
+// Engine-free oracle for traffic_program: each node's output fingerprint
+// and all seven CostMeter fields, computed from the send lists alone under
+// the model's rules (FIFO per ordered pair, one word per pair per round,
+// self-delivery free and unmetered).
+RunResult traffic_oracle(NodeId n, std::uint64_t seed, int kind) {
+  const unsigned B = node_id_bits(n);
+  RunResult r;
+  CostMeter& c = r.cost;
+  std::vector<std::uint64_t> sent(n, 0), received(n, 0);
+  auto charge = [&](NodeId src, NodeId dst, const Word& w) {
+    c.messages += 1;
+    c.bits += w.bits;
+    sent[src] += 1;
+    received[dst] += 1;
+  };
+
+  // inbox[v][u]: the words u sent to v, in send order.
+  std::vector<WordQueues> inbox(n, WordQueues(n));
+  std::uint64_t drain = 0;  // longest non-self queue
+  for (NodeId u = 0; u < n; ++u) {
+    for (const auto& [dst, w] : make_sends(u, n, B, seed, kind)) {
+      auto& q = inbox[dst][u];
+      q.push_back(w);
+      if (dst != u) drain = std::max<std::uint64_t>(drain, q.size());
+    }
+  }
+  // exchange() and exchange_flat() each deliver this traffic once.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (NodeId v = 0; v < n; ++v) {
+      for (NodeId u = 0; u < n; ++u) {
+        if (u == v) continue;
+        for (const Word& w : inbox[v][u]) charge(u, v, w);
+      }
+    }
+    c.rounds += drain;
+    c.collectives += 1;
+  }
+
+  // round_flat(): exactly one round, occupied or not.
+  for (NodeId u = 0; u < n; ++u) {
+    if (const auto w = ring_word(u, n, seed)) charge(u, (u + 1) % n, *w);
+  }
+  c.rounds += 1;
+  c.collectives += 1;
+
+  // broadcast(): every node sends its ⌈L/B⌉ words to every other node.
+  const BitVector mine = broadcast_bits(seed);
+  const std::vector<Word> words = encode_bits(mine, B);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (u == v) continue;
+      for (const Word& w : words) charge(u, v, w);
+    }
+  }
+  c.rounds += ceil_div(mine.size(), B);
+  c.collectives += 1;
+
+  c.max_node_sent = *std::max_element(sent.begin(), sent.end());
+  c.max_node_received = *std::max_element(received.begin(), received.end());
+
+  for (NodeId v = 0; v < n; ++v) {
+    Fingerprint f;
+    for (NodeId src = 0; src < n; ++src) {
+      for (const Word& w : inbox[v][src]) {
+        f.mix(src * 131 + w.value * 31 + w.bits);
+      }
+    }
+    for (NodeId src = 0; src < n; ++src) {
+      for (const Word& w : inbox[v][src]) {
+        f.mix(src * 139 + w.value * 37 + w.bits);
+      }
+    }
+    const NodeId pred = (v + n - 1) % n;
+    if (const auto w = ring_word(pred, n, seed)) {
+      f.mix(pred * 149 + w->value);
+    }
+    for (NodeId src = 0; src < n; ++src) f.mix(mine.popcount() + 7);
+    f.mix(c.rounds);
+    r.outputs.push_back(f.fp);
+  }
+  return r;
 }
 
 TEST(MsgPlaneProperty, RandomTrafficIdenticalAcrossPlanesAndBackends) {
   const Graph g = gen::gnp(16, 0.4, 7);
-  const PlaneSetup& ref_setup = kSetups[0];  // legacy / thread-per-node
   int patterns = 0;
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     for (int kind = 0; kind < kPatternKinds; ++kind) {
@@ -178,41 +260,35 @@ TEST(MsgPlaneProperty, RandomTrafficIdenticalAcrossPlanesAndBackends) {
       const auto program = [seed, kind](NodeCtx& ctx) {
         traffic_program(ctx, seed, kind);
       };
-      const auto ref = Engine::run(g, program, config_for(ref_setup));
-      for (std::size_t i = 1; i < std::size(kSetups); ++i) {
-        const std::string name = std::string(kSetups[i].name) + " seed=" +
+      const RunResult want = traffic_oracle(g.n(), seed, kind);
+      for (const BackendSetup& s : kSetups) {
+        const std::string name = std::string(s.name) + " seed=" +
                                  std::to_string(seed) + " kind=" +
                                  std::to_string(kind);
-        expect_same_result(
-            ref, Engine::run(g, program, config_for(kSetups[i])), name);
+        expect_same_result(want, Engine::run(g, program, config_for(s)),
+                           name);
       }
     }
   }
   EXPECT_EQ(patterns, 100);
 }
 
-// Per-run sanity on a larger clique: flat vs legacy on the pooled backend.
-TEST(MsgPlaneProperty, LargerCliqueFlatMatchesLegacy) {
+// Per-run sanity on a larger clique, on every backend setup.
+TEST(MsgPlaneProperty, LargerCliqueMatchesOracle) {
   const Graph g = gen::gnp(96, 0.3, 11);
   const auto program = [](NodeCtx& ctx) { traffic_program(ctx, 42, 0); };
-  Engine::Config legacy, flat;
-  legacy.plane = MessagePlaneKind::kLegacy;
-  flat.plane = MessagePlaneKind::kFlat;
-  expect_same_result(Engine::run(g, program, legacy),
-                     Engine::run(g, program, flat), "n=96 flat vs legacy");
+  const RunResult want = traffic_oracle(g.n(), 42, 0);
+  for (const BackendSetup& s : kSetups) {
+    expect_same_result(want, Engine::run(g, program, config_for(s)),
+                       std::string("n=96 ") + s.name);
+  }
 }
 
-// ---- targeted flat-plane behaviours --------------------------------------
-
-Engine::Config flat_config() {
-  Engine::Config cfg;
-  cfg.plane = MessagePlaneKind::kFlat;
-  return cfg;
-}
+// ---- targeted arena-plane behaviours -------------------------------------
 
 TEST(MsgPlaneFlat, SpanViewMatchesQueueViewPerSourceFifo) {
   const Graph g = gen::empty(8);
-  Engine::Config cfg = flat_config();
+  Engine::Config cfg;
   cfg.bandwidth_multiplier = 2;  // B = 6: room for the id*2+1 tags below
   auto run = Engine::run(
       g,
@@ -261,77 +337,59 @@ TEST(MsgPlaneFlat, SelfDeliveryIsFreeThroughTheArena) {
           ok = own[i].value == i;
         }
         ctx.output(ok ? 1 : 0);
-      },
-      flat_config());
+      });
   EXPECT_TRUE(run.accepted());
   EXPECT_EQ(run.cost.rounds, 0u);    // self-only traffic drains for free
   EXPECT_EQ(run.cost.messages, 0u);  // and is not metered as communication
 }
 
-TEST(MsgPlaneFlat, BandwidthValidatedAtDepositOnBothPlanes) {
+TEST(MsgPlaneFlat, BandwidthValidatedAtDeposit) {
   const Graph g = gen::empty(3);
-  for (MessagePlaneKind plane :
-       {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
-    Engine::Config cfg;
-    cfg.plane = plane;
-    // Pair deposits (exchange_flat).
-    EXPECT_THROW(Engine::run(
-                     g,
-                     [](NodeCtx& ctx) {
-                       std::vector<std::pair<NodeId, Word>> sends;
-                       sends.emplace_back((ctx.id() + 1) % ctx.n(),
-                                          Word(0, 64));
-                       ctx.exchange_flat(sends);
-                       ctx.output(0);
-                     },
-                     cfg),
-                 ModelViolation);
-    // Queue deposits (exchange).
-    EXPECT_THROW(Engine::run(
-                     g,
-                     [](NodeCtx& ctx) {
-                       WordQueues out(ctx.n());
-                       out[(ctx.id() + 1) % ctx.n()].emplace_back(0, 64);
-                       ctx.exchange(out);
-                       ctx.output(0);
-                     },
-                     cfg),
-                 ModelViolation);
-  }
+  // Pair deposits (exchange_flat).
+  EXPECT_THROW(Engine::run(g,
+                           [](NodeCtx& ctx) {
+                             std::vector<std::pair<NodeId, Word>> sends;
+                             sends.emplace_back((ctx.id() + 1) % ctx.n(),
+                                                Word(0, 64));
+                             ctx.exchange_flat(sends);
+                             ctx.output(0);
+                           }),
+               ModelViolation);
+  // Queue-shaped outboxes (exchange), flattened to the same pair deposit.
+  EXPECT_THROW(Engine::run(g,
+                           [](NodeCtx& ctx) {
+                             WordQueues out(ctx.n());
+                             out[(ctx.id() + 1) % ctx.n()].emplace_back(0,
+                                                                        64);
+                             ctx.exchange(out);
+                             ctx.output(0);
+                           }),
+               ModelViolation);
 }
 
 TEST(MsgPlaneFlat, RoundFlatEnforcesRoundRules) {
   const Graph g = gen::empty(4);
-  for (MessagePlaneKind plane :
-       {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
-    Engine::Config cfg;
-    cfg.plane = plane;
-    // Two words to one destination.
-    EXPECT_THROW(Engine::run(
-                     g,
-                     [](NodeCtx& ctx) {
-                       std::vector<std::pair<NodeId, Word>> sends;
-                       sends.emplace_back((ctx.id() + 1) % ctx.n(),
-                                          Word(0, 1));
-                       sends.emplace_back((ctx.id() + 1) % ctx.n(),
-                                          Word(1, 1));
-                       ctx.round_flat(sends);
-                       ctx.output(0);
-                     },
-                     cfg),
-                 ModelViolation);
-    // Self-send.
-    EXPECT_THROW(Engine::run(
-                     g,
-                     [](NodeCtx& ctx) {
-                       std::vector<std::pair<NodeId, Word>> sends;
-                       sends.emplace_back(ctx.id(), Word(0, 1));
-                       ctx.round_flat(sends);
-                       ctx.output(0);
-                     },
-                     cfg),
-                 ModelViolation);
-  }
+  // Two words to one destination.
+  EXPECT_THROW(Engine::run(g,
+                           [](NodeCtx& ctx) {
+                             std::vector<std::pair<NodeId, Word>> sends;
+                             sends.emplace_back((ctx.id() + 1) % ctx.n(),
+                                                Word(0, 1));
+                             sends.emplace_back((ctx.id() + 1) % ctx.n(),
+                                                Word(1, 1));
+                             ctx.round_flat(sends);
+                             ctx.output(0);
+                           }),
+               ModelViolation);
+  // Self-send.
+  EXPECT_THROW(Engine::run(g,
+                           [](NodeCtx& ctx) {
+                             std::vector<std::pair<NodeId, Word>> sends;
+                             sends.emplace_back(ctx.id(), Word(0, 1));
+                             ctx.round_flat(sends);
+                             ctx.output(0);
+                           }),
+               ModelViolation);
 }
 
 TEST(MsgPlaneFlat, RoundFlatCostsOneRoundEvenWhenSilent) {
@@ -341,8 +399,7 @@ TEST(MsgPlaneFlat, RoundFlatCostsOneRoundEvenWhenSilent) {
       [](NodeCtx& ctx) {
         for (int i = 0; i < 3; ++i) ctx.round_flat({});
         ctx.output(0);
-      },
-      flat_config());
+      });
   EXPECT_EQ(run.cost.rounds, 3u);
 }
 
@@ -371,8 +428,7 @@ TEST(MsgPlaneFlat, ArenaViewSurvivesUntilNextCollectiveOnly) {
           }
         }
         ctx.output(acc);
-      },
-      flat_config());
+      });
   // Every node receives sum over r of n/2 ones from each parity class.
   for (NodeId v = 0; v < 32; ++v) {
     EXPECT_EQ(run.outputs[v], run.outputs[0]);

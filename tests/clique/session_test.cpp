@@ -82,7 +82,6 @@ EngineSession::Shape shape_for(NodeId n, const Engine::Config& cfg) {
   EngineSession::Shape s;
   s.n = n;
   s.bandwidth_multiplier = cfg.bandwidth_multiplier;
-  s.plane = cfg.plane;
   s.backend = cfg.backend;
   s.workers = cfg.workers;
   s.fiber_stack_bytes = cfg.fiber_stack_bytes;
@@ -91,22 +90,21 @@ EngineSession::Shape shape_for(NodeId n, const Engine::Config& cfg) {
 
 TEST(EngineSession, BitIdenticalToEngineRunAcrossPlanesAndBackends) {
   const Graph g = gen::gnp(24, 0.3, 42);
-  for (const auto plane : {MessagePlaneKind::kFlat, MessagePlaneKind::kLegacy})
-    for (const auto backend :
-         {ExecutionBackend::kPooled, ExecutionBackend::kSharded,
-          ExecutionBackend::kThreadPerNode})
-      for (const bool chaos : {false, true}) {
-        Engine::Config cfg;
-        cfg.plane = plane;
-        cfg.backend = backend;
-        const char* what =
-            plane == MessagePlaneKind::kFlat ? "flat" : "legacy";
-        const RunArtifacts fresh = run_fresh(g, cfg, chaos);
-        EngineSession session(shape_for(24, cfg));
-        const RunArtifacts warm = run_warm(session, g, cfg, chaos);
-        expect_identical(fresh, warm, what);
-        if (chaos) EXPECT_GT(fresh.faults, 0u) << what;
+  for (const auto backend :
+       {ExecutionBackend::kPooled, ExecutionBackend::kSharded,
+        ExecutionBackend::kThreadPerNode})
+    for (const bool chaos : {false, true}) {
+      Engine::Config cfg;
+      cfg.backend = backend;
+      const char* what = harness::backend_name(backend);
+      const RunArtifacts fresh = run_fresh(g, cfg, chaos);
+      EngineSession session(shape_for(24, cfg));
+      const RunArtifacts warm = run_warm(session, g, cfg, chaos);
+      expect_identical(fresh, warm, what);
+      if (chaos) {
+        EXPECT_GT(fresh.faults, 0u) << what;
       }
+    }
 }
 
 TEST(EngineSession, RepeatedWarmRunsAreDeterministic) {

@@ -129,17 +129,6 @@ TEST(ShardedDeterminism, RepeatedRunsIdentical) {
   expect_same_result(r1, r2, "sharded repeat");
 }
 
-TEST(ShardedDeterminism, BothPlanesAgree) {
-  const Graph g = gen::gnp(21, 0.5, 29);
-  Engine::Config legacy = sharded(4);
-  legacy.plane = MessagePlaneKind::kLegacy;
-  Engine::Config flat = sharded(4);
-  flat.plane = MessagePlaneKind::kFlat;
-  expect_same_result(Engine::run(g, mixed_program, legacy),
-                     Engine::run(g, mixed_program, flat),
-                     "sharded legacy vs flat");
-}
-
 // ---- degenerate clique sizes ---------------------------------------------
 
 // n around the worker/shard count: {1, 2, workers-1, workers, workers+1}
@@ -198,7 +187,7 @@ TEST(ShardedAbort, MidRoundExceptionUnwindsAllShards) {
                  std::runtime_error)
         << "shards=" << shards;
     EXPECT_EQ(live_guards.load(), 0) << "shards=" << shards;
-    // The pool and planes must be serviceable immediately afterwards.
+    // The pool and plane must be serviceable immediately afterwards.
     const auto r = Engine::run(
         g, [](NodeCtx& ctx) { ctx.decide(ctx.all(true)); }, sharded(shards));
     EXPECT_TRUE(r.accepted()) << "shards=" << shards;
@@ -284,11 +273,10 @@ TEST(ShardedChaos, FaultScheduleIndependentOfSharding) {
   }
 }
 
-// A chaos duplicate on the *legacy* plane must keep the plane's
-// max_node_in report consistent with the trace's independent per-node
-// delta scan (the engine cross-checks them and throws on mismatch). CI
-// exercised only kFlat here before; this pins the legacy path.
-TEST(ShardedChaos, LegacyPlaneDuplicateAgreesWithTraceCrossCheck) {
+// A chaos duplicate must keep the plane's max_node_in report consistent
+// with the trace's independent per-node delta scan (the engine
+// cross-checks them and throws on mismatch).
+TEST(ShardedChaos, DuplicateAgreesWithTraceCrossCheck) {
   const Graph g = gen::empty(6);
   ChaosPlan::Config ccfg;
   ccfg.seed = 5;
@@ -296,7 +284,6 @@ TEST(ShardedChaos, LegacyPlaneDuplicateAgreesWithTraceCrossCheck) {
   ChaosPlan plan(ccfg);
   RoundTrace trace;
   Engine::Config cfg;
-  cfg.plane = MessagePlaneKind::kLegacy;
   cfg.chaos = &plan;
   cfg.trace = &trace;
   // exchange (not broadcast): raw queues carry no framing, so duplicated
@@ -322,32 +309,6 @@ TEST(ShardedChaos, LegacyPlaneDuplicateAgreesWithTraceCrossCheck) {
   for (auto w : r.outputs) EXPECT_EQ(w, 10u);
   ASSERT_EQ(trace.records().size(), 1u);
   EXPECT_EQ(trace.records()[0].max_received, 10u);
-
-  // Same schedule on the flat plane: identical ledger and metered cost —
-  // the planes must agree on corrupted traffic exactly as on honest.
-  ChaosPlan plan2(ccfg);
-  Engine::Config flat = cfg;
-  flat.plane = MessagePlaneKind::kFlat;
-  flat.chaos = &plan2;
-  flat.trace = nullptr;
-  const auto r2 = Engine::run(
-      g,
-      [](NodeCtx& ctx) {
-        WordQueues out(ctx.n());
-        for (NodeId v = 0; v < ctx.n(); ++v) {
-          if (v != ctx.id()) out[v].emplace_back(1, 1);
-        }
-        auto in = ctx.exchange(out);
-        std::uint64_t words = 0;
-        for (const auto& q : in) words += q.size();
-        ctx.output(words);
-      },
-      flat);
-  expect_same_result(r, r2, "legacy vs flat under duplication");
-  ASSERT_EQ(plan.ledger().size(), plan2.ledger().size());
-  for (std::size_t i = 0; i < plan.ledger().size(); ++i) {
-    EXPECT_TRUE(plan.ledger()[i] == plan2.ledger()[i]) << "event " << i;
-  }
 }
 
 // ---- the raised n cap -----------------------------------------------------

@@ -3,8 +3,8 @@
 // Pins the three contracts the trace header promises:
 //   * determinism — every cost-side record field (and every span) is a pure
 //     function of the program and instance, identical across
-//     {kLegacy,kFlat} planes × {kPooled,kThreadPerNode} backends × worker
-//     counts, asserted on randomised traffic with nested spans;
+//     {kPooled,kSharded,kThreadPerNode} backends × worker counts, asserted
+//     on randomised traffic with nested spans;
 //   * ledger exactness — per-record rounds/messages/bits sum to the
 //     CostMeter totals, per-phase totals partition them, and the plane's
 //     receiver-side max always agrees with the per-node delta scan (the
@@ -33,32 +33,22 @@ namespace ccq {
 namespace {
 
 struct TraceSetup {
-  MessagePlaneKind plane;
   ExecutionBackend backend;
   std::size_t workers;  // pooled: worker cap; sharded: shard count; 0 = hw
   const char* name;
 };
 
 const TraceSetup kSetups[] = {
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kThreadPerNode, 0,
-     "legacy/thread-per-node"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kPooled, 2,
-     "legacy/pooled-2"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kPooled, 0,
-     "legacy/pooled-hw"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kThreadPerNode, 0,
-     "flat/thread-per-node"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 2, "flat/pooled-2"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 0, "flat/pooled-hw"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kSharded, 0,
-     "legacy/sharded-hw"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kSharded, 3,
-     "flat/sharded-3"},  // non-dividing shard count for n in {5, 26}
+    {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
+    {ExecutionBackend::kPooled, 2, "pooled-2"},
+    {ExecutionBackend::kPooled, 0, "pooled-hw"},
+    {ExecutionBackend::kSharded, 0, "sharded-hw"},
+    {ExecutionBackend::kSharded, 3,
+     "sharded-3"},  // non-dividing shard count for n in {5, 26}
 };
 
 Engine::Config config_for(const TraceSetup& s, RoundTrace* trace) {
   Engine::Config cfg;
-  cfg.plane = s.plane;
   cfg.backend = s.backend;
   cfg.workers = s.workers;
   cfg.trace = trace;
@@ -124,7 +114,7 @@ std::string temp_path(const char* name) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism across planes × backends × worker counts
+// Determinism across backends × worker counts
 // ---------------------------------------------------------------------------
 
 TEST(TraceDeterminism, RecordsAndSpansIdenticalAcrossSetups) {
@@ -168,7 +158,7 @@ TEST(TraceDeterminism, TracingDoesNotChangeMeteredCost) {
 
 TEST(TraceLedger, RecordsSumToMeterAndPhasesPartition) {
   RoundTrace trace;
-  const RunResult result = run_traced(kSetups[4], &trace, 12, 1);
+  const RunResult result = run_traced(kSetups[1], &trace, 12, 1);
 
   EXPECT_TRUE(trace.totals_match());
   EXPECT_EQ(trace.metered_totals().rounds, result.cost.rounds);
@@ -210,35 +200,31 @@ TEST(TraceLedger, RecordsSumToMeterAndPhasesPartition) {
 
 TEST(TraceLedger, ReceiverSideMaxMatchesKnownPattern) {
   // Every node sends 3 words to node 0: receiver max = 3 * (n - 1) at node
-  // 0 (self excluded), sender max = 3. Both planes must report it.
+  // 0 (self excluded), sender max = 3. The plane must report it.
   const NodeId n = 9;
-  for (MessagePlaneKind plane :
-       {MessagePlaneKind::kLegacy, MessagePlaneKind::kFlat}) {
-    RoundTrace trace;
-    Engine::Config cfg;
-    cfg.plane = plane;
-    cfg.trace = &trace;
-    Engine::run(
-        gen::empty(n),
-        [](NodeCtx& ctx) {
-          std::vector<std::pair<NodeId, Word>> sends;
-          if (ctx.id() != 0) {
-            for (int i = 0; i < 3; ++i) sends.emplace_back(0, Word(1, 1));
-          }
-          (void)ctx.exchange_flat(sends);
-          ctx.output(0);
-        },
-        cfg);
-    ASSERT_EQ(trace.records().size(), 1u);
-    const TraceRecord& r = trace.records()[0];
-    EXPECT_EQ(r.max_sent, 3u);
-    EXPECT_EQ(r.max_received, 3u * (n - 1));
-    EXPECT_EQ(r.rounds, 3u);  // one hot pair drains 3 per round
-    // Histogram shape: node 0 sent nothing, everyone else 3 words; node 0
-    // received 24 words, everyone else 0.
-    EXPECT_EQ(r.sent_hist.bucket[0], 1u);
-    EXPECT_EQ(r.received_hist.bucket[0], static_cast<std::uint32_t>(n - 1));
-  }
+  RoundTrace trace;
+  Engine::Config cfg;
+  cfg.trace = &trace;
+  Engine::run(
+      gen::empty(n),
+      [](NodeCtx& ctx) {
+        std::vector<std::pair<NodeId, Word>> sends;
+        if (ctx.id() != 0) {
+          for (int i = 0; i < 3; ++i) sends.emplace_back(0, Word(1, 1));
+        }
+        (void)ctx.exchange_flat(sends);
+        ctx.output(0);
+      },
+      cfg);
+  ASSERT_EQ(trace.records().size(), 1u);
+  const TraceRecord& r = trace.records()[0];
+  EXPECT_EQ(r.max_sent, 3u);
+  EXPECT_EQ(r.max_received, 3u * (n - 1));
+  EXPECT_EQ(r.rounds, 3u);  // one hot pair drains 3 per round
+  // Histogram shape: node 0 sent nothing, everyone else 3 words; node 0
+  // received 24 words, everyone else 0.
+  EXPECT_EQ(r.sent_hist.bucket[0], 1u);
+  EXPECT_EQ(r.received_hist.bucket[0], static_cast<std::uint32_t>(n - 1));
 }
 
 TEST(TraceLedger, SpanCoordinatesAndNesting) {
@@ -454,8 +440,8 @@ TEST(TraceLifecycle, UntracedRunsCostNoRecordsAndSpansNoop) {
 
 TEST(TraceExport, JsonlRoundTrip) {
   RoundTrace trace;
-  run_traced(kSetups[4], &trace, 11, 5);
-  run_traced(kSetups[4], &trace, 7, 6);
+  run_traced(kSetups[1], &trace, 11, 5);
+  run_traced(kSetups[1], &trace, 7, 6);
 
   const std::string path = temp_path("trace_roundtrip.jsonl");
   ASSERT_TRUE(trace.write_jsonl(path));
@@ -493,7 +479,7 @@ TEST(TraceExport, LoadRejectsGarbage) {
 
 TEST(TraceExport, ChromeFileIsWellFormed) {
   RoundTrace trace;
-  run_traced(kSetups[4], &trace, 9, 2);
+  run_traced(kSetups[1], &trace, 9, 2);
   const std::string path = temp_path("trace_chrome.json");
   ASSERT_TRUE(trace.write_chrome(path));
 

@@ -245,13 +245,12 @@ TEST(Corpus, ManifestAxisExpansion) {
       "algorithm": ["routing_direct", "routing_balanced"],
       "family": "gnp", "p": 0.2,
       "n": [16, 32],
-      "plane": ["flat", "legacy"],
       "backend": "pooled",
       "chaos": [false, true]
     }]
   })json", "inline");
   EXPECT_EQ(m.trials, 3);
-  EXPECT_EQ(m.cells.size(), 16u);  // 2 algos x 2 n x 2 planes x 2 chaos
+  EXPECT_EQ(m.cells.size(), 8u);  // 2 algos x 2 n x 2 chaos
   std::vector<std::string> ids;
   for (const auto& c : m.cells) ids.push_back(c.id());
   std::sort(ids.begin(), ids.end());
@@ -271,6 +270,8 @@ TEST(Corpus, ManifestRejectionTable) {
       R"({"name": "x", "cells": [{"algorithm": "routing_direct",
           "family": "gnp", "n": 16, "plane": "warped"}]})", // unknown plane
       R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "plane": "legacy"}]})", // removed plane
+      R"({"name": "x", "cells": [{"algorithm": "routing_direct",
           "family": "gnp", "n": 0}]})",                     // n out of range
       R"({"name": "x", "trials": 0, "cells": [{"algorithm":
           "routing_direct", "family": "gnp", "n": 16}]})",  // trials range
@@ -286,6 +287,17 @@ TEST(Corpus, ManifestRejectionTable) {
   for (const char* text : kBad) {
     EXPECT_THROW(harness::parse_manifest(text, "table"), ModelViolation)
         << "accepted malformed manifest:\n" << text;
+  }
+  // The removed plane is named as removed, not merely unknown.
+  try {
+    harness::parse_manifest(R"({"name": "x", "cells": [{"algorithm":
+        "routing_direct", "family": "gnp", "n": 16, "plane": "legacy"}]})",
+                            "table");
+    ADD_FAILURE() << "accepted plane 'legacy'";
+  } catch (const ModelViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("plane 'legacy' was removed"),
+              std::string::npos)
+        << e.what();
   }
 }
 

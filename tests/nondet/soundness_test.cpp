@@ -7,8 +7,8 @@
 //     the adversary callback clamped to the original width, and words a
 //     node queues to itself are never touched;
 //   * determinism — the ledger and the run outputs are a pure function of
-//     (plan seed, collective, src, dst), identical across both message
-//     planes × both backends × worker counts;
+//     (plan seed, collective, src, dst), identical across both backends ×
+//     worker counts;
 //   * lifecycle — p = 0 plans are exact no-ops, the acquire is released on
 //     every exit path (config and global attach), the ledger cap converts
 //     records to overflow without losing counts, and chaos composes with
@@ -38,26 +38,19 @@ namespace ccq {
 namespace {
 
 struct ChaosSetup {
-  MessagePlaneKind plane;
   ExecutionBackend backend;
   std::size_t workers;
   const char* name;
 };
 
 const ChaosSetup kSetups[] = {
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kThreadPerNode, 0,
-     "legacy/thread-per-node"},
-    {MessagePlaneKind::kLegacy, ExecutionBackend::kPooled, 2,
-     "legacy/pooled-2"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kThreadPerNode, 0,
-     "flat/thread-per-node"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 2, "flat/pooled-2"},
-    {MessagePlaneKind::kFlat, ExecutionBackend::kPooled, 0, "flat/pooled-hw"},
+    {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
+    {ExecutionBackend::kPooled, 2, "pooled-2"},
+    {ExecutionBackend::kPooled, 0, "pooled-hw"},
 };
 
 Engine::Config config_for(const ChaosSetup& s, ChaosPlan* plan) {
   Engine::Config cfg;
-  cfg.plane = s.plane;
   cfg.backend = s.backend;
   cfg.workers = s.workers;
   cfg.chaos = plan;
@@ -341,7 +334,7 @@ TEST(ChaosLifecycle, ComposesWithRoundTrace) {
 // --- the campaign itself ------------------------------------------------
 
 TEST(SoundnessCampaign, CleanAcceptsAndCorruptRejectsEveryCase) {
-  // 12 trials cover all four plane × backend combinations three times;
+  // 12 trials cover both backends six times;
   // the bench sweeps the statistically meaningful byzantine rates.
   for (const auto& c : soundness::cases()) {
     const auto r = soundness::run_case(c, 16, 12);

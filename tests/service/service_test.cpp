@@ -129,6 +129,16 @@ TEST(Protocol, BadJobsAreNamed) {
                     &code),
       "error");
   EXPECT_EQ(code, kErrBadJob);
+  // The removed legacy plane is a bad job, like in a manifest.
+  EXPECT_EQ(
+      response_type(client.request(submit_body(
+                        "{\"algorithm\": \"routing_balanced\", \"family\": "
+                        "\"gnp\", \"p\": 0.25, \"n\": 16, \"plane\": "
+                        "\"legacy\", \"backend\": \"pooled\", "
+                        "\"chaos\": false}")),
+                    &code),
+      "error");
+  EXPECT_EQ(code, kErrBadJob);
   // Unknown algorithm names are caught at cell-parse time, like manifests.
   EXPECT_EQ(
       response_type(client.request(submit_body(

@@ -4,8 +4,8 @@
 # Rebuilds the Release tree and reruns each JSON-writing bench with its
 # default sweep, rewriting the BENCH_*.json files at the repo root:
 #
-#   BENCH_routing.json    bench_routing     (plane + backend tables)
-#   BENCH_exchange.json   bench_exchange    (flat vs legacy plane)
+#   BENCH_routing.json    bench_routing     (backend table)
+#   BENCH_exchange.json   bench_exchange    (exchange() adapter vs exchange_flat())
 #   BENCH_kernels.json    bench_kernels     (local-compute kernels)
 #   BENCH_chaos.json      bench_chaos_verifiers (soundness campaign)
 #   BENCH_sharding.json   bench_sharding    (owner-computes backend)
