@@ -516,8 +516,7 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
     if (detail::on_scheduler_fiber()) {
       backend = ExecutionBackend::kThreadPerNode;
     }
-    owned_sched = detail::make_scheduler(backend, config.workers,
-                                         config.fiber_stack_bytes);
+    owned_sched = detail::make_scheduler(backend, config.fiber_stack_bytes);
     sched = owned_sched.get();
   } else {
     // A session scheduler cannot be rerouted to thread-per-node mid-run;
@@ -528,7 +527,7 @@ RunResult run_engine(const Instance& instance, const NodeProgram& program,
   }
   sched->enable_stats(trace != nullptr);
   st.sched = sched;
-  sched->run(n, [&st, &program](NodeId v) {
+  sched->run(n, config.workers, [&st, &program](NodeId v) {
     NodeCtx ctx = EngineAccess::make(v, &st);
     program(ctx);
   });
@@ -561,8 +560,7 @@ EngineSession::EngineSession(const Shape& shape) : shape_(shape) {
   CCQ_CHECK_MSG(shape.n >= 1 && shape.n <= 8192,
                 "EngineSession shape.n = " << shape.n
                                            << " outside [1, 8192]");
-  sched_ = detail::make_scheduler(shape.backend, shape.workers,
-                                  shape.fiber_stack_bytes);
+  sched_ = detail::make_scheduler(shape.backend, shape.fiber_stack_bytes);
   plane_ = detail::make_message_plane();
 }
 
@@ -571,16 +569,15 @@ EngineSession::~EngineSession() = default;
 RunResult EngineSession::run(const Instance& instance,
                              const NodeProgram& program,
                              const Engine::Config& config) {
-  // The warm objects are shaped by (n, B, backend, workers, stacks);
-  // a config naming a different shape must not silently run on them — the
-  // caller keyed its cache wrong.
+  // The warm objects are shaped by (n, B, backend, stacks); a config
+  // naming a different shape must not silently run on them — the caller
+  // keyed its cache wrong. The worker team is per run (config.workers).
   CCQ_CHECK_MSG(instance.graph.n() == shape_.n,
                 "EngineSession built for n = "
                     << shape_.n << " got an instance with n = "
                     << instance.graph.n());
   CCQ_CHECK_MSG(config.bandwidth_multiplier == shape_.bandwidth_multiplier &&
                     config.backend == shape_.backend &&
-                    config.workers == shape_.workers &&
                     config.fiber_stack_bytes == shape_.fiber_stack_bytes,
                 "EngineSession::run config names a different engine shape "
                 "than the session was built for");

@@ -208,8 +208,9 @@ class Engine {
     /// Pooled backend: cap on concurrent workers. Sharded backend: the
     /// shard count — the node id space is cut into this many contiguous
     /// owner-computes blocks (the worker team is min(shards, pool size)).
-    /// 0 = one per shared-pool thread. Values above n are rejected at
-    /// run() entry (ModelViolation).
+    /// 0 = one per shared-pool thread (pool_threads()). Values above n are
+    /// rejected at run() entry (ModelViolation). A per-run choice: an
+    /// EngineSession serves any value.
     std::size_t workers = 0;
     /// Fiber backends: per-node fiber stack size (0 = 256 KiB). Nonzero
     /// values below the 16 KiB switch-frame floor are rejected at run()
@@ -255,20 +256,20 @@ class Engine {
 /// bit-for-bit identical to Engine::run with the same config (pinned by
 /// tests/clique/session_test.cpp); only wall-clock changes.
 ///
-/// Per-run parameters (seed, max_rounds, trace, chaos) vary freely through
-/// the config passed to run(); the shape-valued fields of that config must
-/// equal the session's shape (ModelViolation otherwise — a mismatched
-/// config means the caller keyed its session cache wrong). Sessions are
+/// Per-run parameters (seed, max_rounds, workers, trace, chaos) vary freely
+/// through the config passed to run(); the shape-valued fields of that
+/// config must equal the session's shape (ModelViolation otherwise — a
+/// mismatched config means the caller keyed its session cache wrong). Sessions are
 /// single-threaded: one run at a time, and run() must not be called from
 /// inside a node program (nested simulation goes through Engine::run).
 class EngineSession {
  public:
-  /// The cache key: everything that sizes the warm objects.
+  /// The cache key: everything that sizes the warm objects. The worker
+  /// team is not part of it — the scheduler takes it per run.
   struct Shape {
     NodeId n = 0;
     unsigned bandwidth_multiplier = 1;
     ExecutionBackend backend = ExecutionBackend::kPooled;
-    std::size_t workers = 0;
     std::size_t fiber_stack_bytes = 0;
 
     bool operator==(const Shape&) const = default;

@@ -17,11 +17,14 @@
 //
 // Outboxes come in two shapes: (dst, word) pairs in send order, and one
 // word sequence broadcast to every other node. Queue-shaped callers
-// (NodeCtx::exchange) flatten to pairs first. Inboxes and meters are
-// bit-for-bit identical across backends and worker counts (asserted by
-// tests/clique/msgplane_test.cpp against an engine-free oracle);
-// determinism is structural — chunk outputs are partitioned by node id,
-// and every reduction the leader performs iterates nodes in id order.
+// (NodeCtx::exchange) flatten to pairs first. A collective in which every
+// node broadcast skips the sort: the arena keeps each source's run once
+// and every destination's view of that source points at it. Inboxes and
+// meters are bit-for-bit identical across backends and worker counts
+// (asserted by tests/clique/msgplane_test.cpp against an engine-free
+// oracle); determinism is structural — chunk outputs are partitioned by
+// node id, and every reduction the leader performs iterates nodes in id
+// order.
 
 #include <cstdint>
 #include <memory>
@@ -109,7 +112,9 @@ class MessagePlane {
   virtual void deposit_broadcast(NodeId self,
                                  std::span<const Word> words) = 0;
 
-  /// Deliver every deposit and fill `acc`. Leader-only.
+  /// Deliver every deposit and fill `acc`. Leader-only. The deposits of
+  /// one collective share a shape (the engine rejects mixed collectives
+  /// before delivery).
   virtual void deliver(Scheduler& sched, DeliveryAccounting& acc) = 0;
 
   /// This node's inbox as per-source spans (see FlatInbox lifetime).

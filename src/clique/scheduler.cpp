@@ -105,7 +105,7 @@ namespace {
 
 class ThreadPerNodeScheduler final : public Scheduler {
  public:
-  void run(NodeId n, const NodeBody& body) override {
+  void run(NodeId n, std::size_t /*workers*/, const NodeBody& body) override {
     n_ = n;
     tags_.assign(n, OpTag{});
     arrived_ = 0;
@@ -275,7 +275,7 @@ class FiberSchedulerBase : public Scheduler {
   explicit FiberSchedulerBase(std::size_t stack_bytes)
       : stack_bytes_(stack_bytes == 0 ? kDefaultStackBytes : stack_bytes) {}
 
-  void run(NodeId n, const NodeBody& body) final {
+  void run(NodeId n, std::size_t workers, const NodeBody& body) final {
     n_ = n;
     body_ = &body;
     aborted_.store(false, std::memory_order_relaxed);
@@ -289,7 +289,7 @@ class FiberSchedulerBase : public Scheduler {
     fibers_.resize(n);
 
     ThreadPool& pool = shared_pool();
-    participants_ = plan_run(pool.size());
+    participants_ = plan_run(pool.size(), workers);
     barrier_count_.store(0, std::memory_order_relaxed);
     barrier_sense_.store(false, std::memory_order_relaxed);
 
@@ -360,13 +360,14 @@ class FiberSchedulerBase : public Scheduler {
 
   // ---- backend hooks ------------------------------------------------------
   // plan_run: serial (the caller's thread, before any worker starts) —
-  // size the worker team and build the backend's resume schedule; returns
-  // the team size (≥ 1). resume_phase: parallel — resume this worker's
-  // share of the unfinished fibers until each parks at a collective or
-  // finishes. end_superstep: serial (the barrier winner, after validation
+  // size the worker team from the pool size and the run's `workers`, and
+  // build the backend's resume schedule; returns the team size (≥ 1).
+  // resume_phase: parallel — resume this worker's share of the unfinished
+  // fibers until each parks at a collective or finishes. end_superstep: serial (the barrier winner, after validation
   // and the leader thunk) — rebuild the resume schedule for the next
   // superstep.
-  virtual std::size_t plan_run(std::size_t pool_size) = 0;
+  virtual std::size_t plan_run(std::size_t pool_size,
+                               std::size_t workers) = 0;
   virtual void resume_phase(std::size_t worker) = 0;
   virtual void end_superstep() {}
 
@@ -678,17 +679,17 @@ class FiberSchedulerBase : public Scheduler {
 // rest of the team. The price is one contended fetch_add per resume.
 class PooledScheduler final : public FiberSchedulerBase {
  public:
-  PooledScheduler(std::size_t workers, std::size_t stack_bytes)
-      : FiberSchedulerBase(stack_bytes), workers_cap_(workers) {}
+  explicit PooledScheduler(std::size_t stack_bytes)
+      : FiberSchedulerBase(stack_bytes) {}
 
  private:
-  std::size_t plan_run(std::size_t pool_size) override {
+  std::size_t plan_run(std::size_t pool_size, std::size_t cap) override {
     run_list_.clear();
     run_list_.reserve(n());
     for (NodeId v = 0; v < n(); ++v) run_list_.push_back(make_fiber(v));
     next_.store(0, std::memory_order_relaxed);
     std::size_t workers = std::min<std::size_t>(pool_size, n());
-    if (workers_cap_ > 0) workers = std::min(workers, workers_cap_);
+    if (cap > 0) workers = std::min(workers, cap);
     return workers == 0 ? 1 : workers;
   }
 
@@ -709,7 +710,6 @@ class PooledScheduler final : public FiberSchedulerBase {
     next_.store(0, std::memory_order_relaxed);
   }
 
-  const std::size_t workers_cap_;
   std::vector<Fiber*> run_list_;  // mutated only in the serial phase
   std::atomic<std::size_t> next_{0};
 };
@@ -725,15 +725,15 @@ class PooledScheduler final : public FiberSchedulerBase {
 // per-shard imbalance averages out (bench_sharding measures this).
 class ShardedScheduler final : public FiberSchedulerBase {
  public:
-  ShardedScheduler(std::size_t shards, std::size_t stack_bytes)
-      : FiberSchedulerBase(stack_bytes), shards_cfg_(shards) {}
+  explicit ShardedScheduler(std::size_t stack_bytes)
+      : FiberSchedulerBase(stack_bytes) {}
 
  private:
-  std::size_t plan_run(std::size_t pool_size) override {
-    // Shard count: configured, else one shard per pool thread; clamped so
+  std::size_t plan_run(std::size_t pool_size, std::size_t shards) override {
+    // Shard count: the run's, else one shard per pool thread; clamped so
     // every shard is non-empty. The worker team never exceeds the shard
     // count — a worker with no shard would only spin at the barrier.
-    std::size_t shards = shards_cfg_ == 0 ? pool_size : shards_cfg_;
+    if (shards == 0) shards = pool_size;
     shards = std::max<std::size_t>(
         1, std::min<std::size_t>(shards, n()));
     const std::size_t workers =
@@ -762,7 +762,6 @@ class ShardedScheduler final : public FiberSchedulerBase {
     }
   }
 
-  const std::size_t shards_cfg_;
   // Per-worker owned shards as [begin, end) node-id ranges; built in
   // plan_run, read-only while workers run.
   std::vector<std::vector<std::pair<NodeId, NodeId>>> owned_;
@@ -779,19 +778,21 @@ extern "C" void ccq_fiber_main(void* fiber) {
 bool on_scheduler_fiber() { return tls_fiber != nullptr; }
 
 std::unique_ptr<Scheduler> make_scheduler(ExecutionBackend backend,
-                                          std::size_t workers,
                                           std::size_t stack_bytes) {
   switch (backend) {
     case ExecutionBackend::kThreadPerNode:
       return std::make_unique<ThreadPerNodeScheduler>();
     case ExecutionBackend::kPooled:
-      return std::make_unique<PooledScheduler>(workers, stack_bytes);
+      return std::make_unique<PooledScheduler>(stack_bytes);
     case ExecutionBackend::kSharded:
-      return std::make_unique<ShardedScheduler>(workers, stack_bytes);
+      return std::make_unique<ShardedScheduler>(stack_bytes);
   }
   CCQ_CHECK_MSG(false, "unknown execution backend");
   return nullptr;
 }
 
 }  // namespace detail
+
+std::size_t pool_threads() { return detail::shared_pool().size(); }
+
 }  // namespace ccq

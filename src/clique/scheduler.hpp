@@ -22,7 +22,7 @@
 //     is dynamic but every resume touches a contended cache line.
 //
 //   * ExecutionBackend::kSharded — owner-computes for n ≫ cores: the node
-//     id space is split into contiguous shards (Config::workers = shard
+//     id space is split into contiguous shards (the run's `workers` = shard
 //     count) assigned statically to workers. Each worker drives a plain
 //     id-ordered loop over its owned nodes — no shared claim counter on
 //     the resume path — and creates its fibers itself on first resume, so
@@ -64,6 +64,10 @@ struct SchedulerStats {
   std::uint64_t parallel_chunks = 0;  ///< chunks across those jobs
 };
 
+/// Threads in the process-wide pool the fiber backends draw their worker
+/// teams from: the largest team a run can get (Engine::Config::workers).
+std::size_t pool_threads();
+
 namespace detail {
 
 // Thrown into node programs to unwind them after another node failed (or a
@@ -82,10 +86,13 @@ struct OpTag {
 // Runs n node bodies to completion, rendezvousing them at collectives.
 //
 // Contract (identical across backends; the determinism suite asserts it):
-//   * run(n, body) invokes body(v) exactly once for every v in [0, n) and
-//     returns once every body has unwound; the first captured error (a body
-//     exception, a leader exception, or a divergence ModelViolation) is
-//     rethrown.
+//   * run(n, workers, body) invokes body(v) exactly once for every v in
+//     [0, n) and returns once every body has unwound; the first captured
+//     error (a body exception, a leader exception, or a divergence
+//     ModelViolation) is rethrown. `workers` is a per-run choice: it caps
+//     the pooled worker team, or sets the sharded backend's shard count
+//     (0 = one per shared-pool thread; thread-per-node ignores it), so one
+//     scheduler serves any team size with identical results.
 //   * collective(id, tag, deposit, leader) may only be called from inside
 //     body(id). deposit() runs immediately and may touch only node-owned
 //     slots. Once all n nodes have arrived with equal tags, leader() runs
@@ -103,7 +110,7 @@ class Scheduler {
 
   virtual ~Scheduler() = default;
 
-  virtual void run(NodeId n, const NodeBody& body) = 0;
+  virtual void run(NodeId n, std::size_t workers, const NodeBody& body) = 0;
   virtual void collective(NodeId id, OpTag tag, const Thunk& deposit,
                           const Thunk& leader) = 0;
 
@@ -157,13 +164,10 @@ class Scheduler {
   std::uint64_t parallel_chunks_ = 0;
 };
 
-/// Backend factory. `workers` caps the pooled worker team, or sets the
-/// sharded backend's shard count (0 = one per shared-pool thread);
-/// `stack_bytes` sizes fiber stacks (0 = 256 KiB). Both are ignored by the
-/// thread-per-node backend. Value validation (workers ≤ n, stack floor) is
-/// Engine::run's job — the factory only wires the backend.
+/// Backend factory. `stack_bytes` sizes fiber stacks (0 = 256 KiB; ignored
+/// by the thread-per-node backend). Value validation (workers ≤ n, stack
+/// floor) is Engine::run's job — the factory only wires the backend.
 std::unique_ptr<Scheduler> make_scheduler(ExecutionBackend backend,
-                                          std::size_t workers,
                                           std::size_t stack_bytes);
 
 /// True when the calling thread is currently executing a pooled-scheduler

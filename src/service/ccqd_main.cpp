@@ -29,7 +29,8 @@ int usage(const char* prog) {
       "  --executors=N   executor threads running jobs (default 2)\n"
       "  --queue=N       bounded job-queue depth; beyond it submits are\n"
       "                  rejected with queue_full (default 16)\n"
-      "  --cache=N       warm EngineSessions kept idle (default 8)\n"
+      "  --cache=N       warm EngineSessions kept beyond one per executor\n"
+      "                  (default 8)\n"
       "  --trials=N      trials per job, cross-checked (default 1)\n"
       "  --cold          disable the engine cache (--cache=0)\n",
       prog);

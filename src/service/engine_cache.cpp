@@ -1,6 +1,7 @@
 #include "service/engine_cache.hpp"
 
 #include <sstream>
+#include <vector>
 
 #include "graph/corpus.hpp"
 #include "harness/sweep.hpp"
@@ -8,13 +9,16 @@
 namespace ccq::service {
 
 EngineCache::EngineCache(std::size_t session_capacity,
+                         std::size_t executors,
                          std::size_t instance_capacity)
     : session_capacity_(session_capacity),
+      executors_(executors),
       instance_capacity_(instance_capacity) {}
 
 EngineCache::Lease EngineCache::acquire(const EngineSession::Shape& shape) {
   {
     std::lock_guard<std::mutex> lk(mu_);
+    ++leased_;
     for (auto it = idle_.begin(); it != idle_.end(); ++it) {
       if ((*it)->shape() == shape) {
         std::unique_ptr<EngineSession> s = std::move(*it);
@@ -30,16 +34,19 @@ EngineCache::Lease EngineCache::acquire(const EngineSession::Shape& shape) {
 }
 
 void EngineCache::release(std::unique_ptr<EngineSession> session) {
-  if (session_capacity_ == 0) return;  // disabled: cold baseline mode
-  std::unique_ptr<EngineSession> evicted;  // destroyed outside the lock
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    idle_.push_back(std::move(session));
-    if (idle_.size() > session_capacity_) {
-      evicted = std::move(idle_.front());
-      idle_.pop_front();
-      ++stats_.evictions;
-    }
+  std::vector<std::unique_ptr<EngineSession>> evicted;  // destroyed unlocked
+  std::lock_guard<std::mutex> lk(mu_);
+  --leased_;
+  if (session_capacity_ == 0) {  // disabled: cold baseline mode
+    evicted.push_back(std::move(session));
+    return;
+  }
+  idle_.push_back(std::move(session));
+  while (!idle_.empty() &&
+         idle_.size() + leased_ > session_capacity_ + executors_) {
+    evicted.push_back(std::move(idle_.front()));
+    idle_.pop_front();
+    ++stats_.evictions;
   }
 }
 
@@ -86,7 +93,6 @@ EngineSession::Shape cell_shape(const harness::CellSpec& spec) {
   shape.n = spec.n;
   shape.bandwidth_multiplier = cfg.bandwidth_multiplier;
   shape.backend = cfg.backend;
-  shape.workers = cfg.workers;
   shape.fiber_stack_bytes = cfg.fiber_stack_bytes;
   return shape;
 }

@@ -14,13 +14,16 @@
 //     Engine::run would derive per run.
 //
 //   * EngineCache — keyed by EngineSession::Shape (n, B-multiplier,
-//     backend, workers, stack bytes): a pool of idle warm sessions.
-//     acquire() hands out an exclusive lease (concurrent jobs on the same
-//     key get *distinct* sessions — a session is single-run); release()
-//     returns the session for the next job, evicting least-recently-used
-//     idle sessions beyond the capacity cap. capacity 0 disables the cache
-//     entirely (every acquire is a cold construction, every release a
-//     destruction) — the cold baseline bench_service measures against.
+//     backend, stack bytes; not the worker team, which each run picks):
+//     a pool of idle warm sessions. acquire() hands out an exclusive lease
+//     (concurrent jobs on the same key get *distinct* sessions — a session
+//     is single-run); release() returns the session for the next job. The
+//     cap counts leased sessions too: the least-recently-used idle session
+//     is evicted only while idle + leased sessions exceed capacity +
+//     executors, so a session released while other executors sit between
+//     jobs is kept for them. capacity 0 disables the cache entirely (every
+//     acquire is a cold construction, every release a destruction) — the
+//     cold baseline bench_service measures against.
 //
 // Both caches are mutex-guarded; the engine runs themselves happen outside
 // the locks.
@@ -40,16 +43,18 @@ namespace ccq::service {
 struct CacheStats {
   std::uint64_t hits = 0;       ///< acquire satisfied by an idle session
   std::uint64_t misses = 0;     ///< acquire had to construct
-  std::uint64_t evictions = 0;  ///< idle sessions destroyed over capacity
+  std::uint64_t evictions = 0;  ///< idle sessions destroyed over the cap
   std::uint64_t instance_hits = 0;
   std::uint64_t instance_misses = 0;
 };
 
 class EngineCache {
  public:
-  /// `session_capacity` caps idle sessions across all keys (0 = disabled);
-  /// `instance_capacity` caps cached instances.
+  /// `session_capacity` + `executors` caps idle plus leased sessions across
+  /// all keys (session_capacity 0 = disabled); `executors` is how many
+  /// callers lease at once. `instance_capacity` caps cached instances.
   explicit EngineCache(std::size_t session_capacity,
+                       std::size_t executors = 1,
                        std::size_t instance_capacity = 32);
 
   /// An exclusive session lease plus whether it came warm. The session is
@@ -90,12 +95,15 @@ class EngineCache {
   void release(std::unique_ptr<EngineSession> session);
 
   const std::size_t session_capacity_;
+  const std::size_t executors_;
   const std::size_t instance_capacity_;
 
   mutable std::mutex mu_;
   // Idle sessions, most recently released last; eviction pops the front.
-  // Linear scan on acquire: the pool is small (≤ capacity, default 8).
+  // Linear scan on acquire: the pool is small (≤ capacity + executors,
+  // default 8 + 4).
   std::deque<std::unique_ptr<EngineSession>> idle_;
+  std::size_t leased_ = 0;  // sessions out on a Lease
   // Instance LRU, most recently used last.
   struct CachedInstance {
     std::string key;

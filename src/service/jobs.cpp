@@ -12,7 +12,7 @@
 namespace ccq::service {
 
 JobResult run_job(const harness::CellSpec& spec, int trials,
-                  EngineCache* cache) {
+                  EngineCache* cache, std::size_t workers) {
   CCQ_CHECK_MSG(trials >= 1, "run_job requires trials >= 1");
   JobResult out;
   out.trials = trials;
@@ -20,6 +20,7 @@ JobResult run_job(const harness::CellSpec& spec, int trials,
   const std::shared_ptr<const Instance> instance = cache->instance(spec);
   const NodeProgram program = harness::find_algorithm(spec.algorithm);
   Engine::Config cfg = harness::cell_engine_config(spec);
+  if (workers != 0) cfg.workers = workers;
 
   EngineCache::Lease lease = cache->acquire(cell_shape(spec));
   out.warm = lease.warm();

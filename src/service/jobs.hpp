@@ -33,11 +33,14 @@ struct JobResult {
 };
 
 /// Execute `spec` for `trials` repetitions on an engine leased from
-/// `cache`. Engine-level failures (ModelViolations, program exceptions)
-/// are captured as ok == false — run_job itself throws only for invalid
-/// arguments (trials < 1) or unknown families (cache->instance).
+/// `cache`. `workers` is the run's worker team (Engine::Config::workers),
+/// chosen by the caller beside the cell so the cell id stays the same;
+/// 0 keeps the cell's own. Results do not depend on it. Engine-level
+/// failures (ModelViolations, program exceptions) are captured as
+/// ok == false — run_job itself throws only for invalid arguments
+/// (trials < 1) or unknown families (cache->instance).
 JobResult run_job(const harness::CellSpec& spec, int trials,
-                  EngineCache* cache);
+                  EngineCache* cache, std::size_t workers = 0);
 
 /// The BENCH-style result response: {"type":"result", "cell": ..., every
 /// bench_matrix column, plus ledger_fp / warm / trials}.

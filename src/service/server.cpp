@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -62,7 +63,8 @@ Server::Server(Options opts)
       // reuse either — every job pays the full cold-start bill (graph
       // generation, private-bit encoding, scheduler, plane), which is the
       // bench_service baseline being compared against.
-      cache_(opts_.cache_sessions, opts_.cache_sessions == 0 ? 0 : 32) {
+      cache_(opts_.cache_sessions, opts_.executors,
+             opts_.cache_sessions == 0 ? 0 : 32) {
   CCQ_CHECK_MSG(opts_.executors >= 1, "ccqd: need at least one executor");
   CCQ_CHECK_MSG(opts_.queue_capacity >= 1,
                 "ccqd: need a queue capacity of at least 1");
@@ -282,6 +284,7 @@ void Server::executor_loop() {
       if (queue_.empty()) return;  // draining and nothing left
       job = std::move(queue_.front());
       queue_.pop_front();
+      jobs_running_.fetch_add(1, std::memory_order_relaxed);
     }
     if (opts_.job_delay_ms > 0) {
       std::this_thread::sleep_for(
@@ -289,7 +292,8 @@ void Server::executor_loop() {
     }
     std::string response;
     try {
-      const JobResult r = run_job(job.spec, opts_.trials, &cache_);
+      const JobResult r =
+          run_job(job.spec, opts_.trials, &cache_, team_for(job.spec));
       if (r.ok) {
         jobs_ok_.fetch_add(1, std::memory_order_relaxed);
         response = job_result_json(job.spec, r);
@@ -303,8 +307,27 @@ void Server::executor_loop() {
       jobs_failed_.fetch_add(1, std::memory_order_relaxed);
       response = error_response(kErrJobFailed, e.what());
     }
+    jobs_running_.fetch_sub(1, std::memory_order_relaxed);
     job.response.set_value(std::move(response));
   }
+}
+
+// The dispatch rule: an explicit cell `workers` is honoured; otherwise the
+// shared pool is split evenly among the jobs in flight, this one included.
+// One job alone gets the whole pool (the single-caller path); under load
+// each job runs on a small team instead of all of them queueing for every
+// pool thread in turn.
+std::size_t Server::team_for(const harness::CellSpec& spec) {
+  std::size_t team = std::min<std::size_t>(spec.workers, spec.n);
+  if (team == 0) {
+    const std::size_t running =
+        std::max<std::size_t>(1, jobs_running_.load(std::memory_order_relaxed));
+    team = std::min<std::size_t>(
+        spec.n, std::max<std::size_t>(1, pool_threads() / running));
+  }
+  std::lock_guard<std::mutex> lk(team_mu_);
+  ++team_sizes_[team];
+  return team;
 }
 
 Server::Stats Server::stats() const {
@@ -321,6 +344,11 @@ Server::Stats Server::stats() const {
     std::lock_guard<std::mutex> lk(queue_mu_);
     s.queue_depth = queue_.size();
   }
+  s.jobs_running = jobs_running_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lk(team_mu_);
+    s.team_sizes = team_sizes_;
+  }
   s.cache = cache_.stats();
   return s;
 }
@@ -335,6 +363,7 @@ std::string Server::stats_json() const {
      << ", \"jobs_rejected\": " << s.jobs_rejected
      << ", \"protocol_errors\": " << s.protocol_errors
      << ", \"queue_depth\": " << s.queue_depth
+     << ", \"jobs_running\": " << s.jobs_running
      << ", \"executors\": " << opts_.executors
      << ", \"queue_capacity\": " << opts_.queue_capacity
      << ", \"cache_sessions\": " << opts_.cache_sessions
@@ -343,7 +372,13 @@ std::string Server::stats_json() const {
      << ", \"cache_evictions\": " << s.cache.evictions
      << ", \"instance_hits\": " << s.cache.instance_hits
      << ", \"instance_misses\": " << s.cache.instance_misses
-     << ", \"draining\": " << (draining() ? "true" : "false") << "}";
+     << ", \"team_sizes\": {";
+  const char* sep = "";
+  for (const auto& [team, jobs] : s.team_sizes) {
+    os << sep << "\"" << team << "\": " << jobs;
+    sep = ", ";
+  }
+  os << "}, \"draining\": " << (draining() ? "true" : "false") << "}";
   return os.str();
 }
 

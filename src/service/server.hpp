@@ -15,7 +15,11 @@
 //     rather than silently parked — a load generator can tell "slow" from
 //     "overloaded", and no job is ever accepted and then forgotten;
 //   * a fixed executor pool runs jobs through service/jobs.hpp (per-job
-//     RoundTrace, ledger cross-checks, warm EngineSession lease);
+//     RoundTrace, ledger cross-checks, warm EngineSession lease). Each job
+//     picks its worker team at dispatch: a cell that leaves `workers` at 0
+//     gets min(n, max(1, pool_threads() / jobs_running)), so one job alone
+//     fans out over the whole shared pool while concurrent jobs split it
+//     (DESIGN.md §15.3). Results do not depend on the team;
 //   * graceful drain: drain() (the SIGTERM path, also triggered by a
 //     shutdown request) stops accepting connections, answers every further
 //     submit kErrDraining, finishes the jobs already queued, then joins
@@ -31,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -54,8 +59,10 @@ class Server {
     /// Bounded job-queue depth; submits beyond it are rejected with
     /// kErrQueueFull.
     std::size_t queue_capacity = 16;
-    /// Warm EngineSessions kept idle (0 = cold mode: every job constructs
-    /// and destroys its engine — the bench_service baseline).
+    /// Warm EngineSessions kept beyond the executors' own: idle + leased
+    /// sessions are capped at cache_sessions + executors (0 = cold mode:
+    /// every job constructs and destroys its engine — the bench_service
+    /// baseline).
     std::size_t cache_sessions = 8;
     /// Trials per job (every trial cross-checked; >1 additionally asserts
     /// trial agreement, exactly like bench_matrix).
@@ -72,6 +79,9 @@ class Server {
     std::uint64_t jobs_rejected = 0;     ///< kErrQueueFull + kErrDraining
     std::uint64_t protocol_errors = 0;   ///< bad frames / JSON / requests
     std::size_t queue_depth = 0;
+    std::size_t jobs_running = 0;  ///< executors holding a job right now
+    /// Jobs started per chosen worker team size (team → count).
+    std::map<std::size_t, std::uint64_t> team_sizes;
     CacheStats cache;
   };
 
@@ -108,6 +118,7 @@ class Server {
   void acceptor_loop(int listen_fd);
   void connection_loop(int fd, std::uint64_t conn_id);
   void executor_loop();
+  std::size_t team_for(const harness::CellSpec& spec);
   std::string handle_request(const std::string& payload,
                              const std::string& origin, bool* start_drain);
   std::string submit(const harness::CellSpec& spec);
@@ -139,6 +150,12 @@ class Server {
   std::atomic<std::uint64_t> jobs_failed_{0};
   std::atomic<std::uint64_t> jobs_rejected_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
+
+  // Dispatch state: executors between dequeue and response, and the team
+  // size histogram (team_mu_-guarded; one update per job).
+  std::atomic<std::size_t> jobs_running_{0};
+  mutable std::mutex team_mu_;
+  std::map<std::size_t, std::uint64_t> team_sizes_;
 };
 
 }  // namespace ccq::service

@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <exception>
 
 #include "util/env.hpp"
@@ -64,7 +65,9 @@ void ThreadPool::parallel_for(std::size_t count,
     std::mutex error_mu;
   };
   auto shared = std::make_shared<Shared>();
-  const std::size_t chunks = workers_.size();
+  // One task per index at most: a task beyond `count` would find no index
+  // to claim.
+  const std::size_t chunks = std::min(count, workers_.size());
 
   auto chunk_fn = [shared, count, &fn, chunks] {
     std::size_t i;

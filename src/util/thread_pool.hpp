@@ -38,6 +38,8 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   /// Run fn(i) for i in [0, count) across the pool; blocks until all done.
+  /// Enqueues min(count, size()) tasks that claim indices in order, so a
+  /// task that blocks inside fn (a scheduler worker) holds one thread.
   /// Exceptions from tasks are captured and the first one is rethrown.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);

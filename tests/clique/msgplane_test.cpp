@@ -19,6 +19,7 @@
 #include <optional>
 
 #include "clique/engine.hpp"
+#include "clique/trace.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -285,6 +286,57 @@ TEST(MsgPlaneProperty, LargerCliqueMatchesOracle) {
 }
 
 // ---- targeted arena-plane behaviours -------------------------------------
+
+TEST(MsgPlaneFlat, BroadcastOnlyCollectiveDeliversEachSourcesOwnRun) {
+  // The broadcast-only delivery keeps one copy of each source's run. Every
+  // node broadcasts a payload unique to it, twice (both histogram
+  // parities) around a ring exchange that reuses the arena; each node
+  // counts the runs that differ from the sender's payload. n = 40 spans
+  // two delivery chunks. Traced, so the plane's receiver-side max is
+  // cross-checked against the per-node totals.
+  constexpr NodeId n = 40;
+  constexpr std::size_t kBits = 20;  // 4 words at B = 6
+  const auto payload = [](NodeId id, std::uint64_t salt) {
+    BitVector b(kBits);
+    for (std::size_t i = 0; i < kBits; ++i)
+      if (mix64(id * 1000 + salt * 100 + i) & 1) b.set(i);
+    return b;
+  };
+  const auto program = [&](NodeCtx& ctx) {
+    std::uint64_t wrong = 0;
+    for (const std::uint64_t salt : {1, 2}) {
+      const std::vector<BitVector> all =
+          ctx.broadcast(payload(ctx.id(), salt));
+      for (NodeId src = 0; src < n; ++src)
+        if (!(all[src] == payload(src, salt))) ++wrong;
+      if (salt == 1) {
+        const std::pair<NodeId, Word> ring[] = {
+            {(ctx.id() + 1) % n, Word(ctx.id(), 6)}};
+        const FlatInbox in = ctx.exchange_flat(ring);
+        const NodeId pred = (ctx.id() + n - 1) % n;
+        const auto got = in.from(pred);
+        if (got.size() != 1 || got[0].value != pred) ++wrong;
+      }
+    }
+    ctx.output(wrong);
+  };
+  RunResult want;
+  want.outputs.assign(n, 0);
+  want.cost.rounds = 4 + 1 + 4;
+  want.cost.messages = 2 * n * (n - 1) * 4 + n;
+  want.cost.bits = 2 * n * (n - 1) * kBits + n * 6;
+  want.cost.collectives = 3;
+  want.cost.max_node_sent = 2 * (n - 1) * 4 + 1;
+  want.cost.max_node_received = want.cost.max_node_sent;
+  for (const BackendSetup& s : kSetups) {
+    RoundTrace trace;
+    Engine::Config cfg = config_for(s);
+    cfg.trace = &trace;
+    expect_same_result(want, Engine::run(gen::empty(n), program, cfg),
+                       s.name);
+    EXPECT_TRUE(trace.totals_match()) << s.name;
+  }
+}
 
 TEST(MsgPlaneFlat, SpanViewMatchesQueueViewPerSourceFifo) {
   const Graph g = gen::empty(8);

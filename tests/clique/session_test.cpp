@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "clique/chaos.hpp"
 #include "clique/trace.hpp"
 #include "graph/generators.hpp"
@@ -83,7 +85,6 @@ EngineSession::Shape shape_for(NodeId n, const Engine::Config& cfg) {
   s.n = n;
   s.bandwidth_multiplier = cfg.bandwidth_multiplier;
   s.backend = cfg.backend;
-  s.workers = cfg.workers;
   s.fiber_stack_bytes = cfg.fiber_stack_bytes;
   return s;
 }
@@ -120,7 +121,8 @@ TEST(EngineSession, RepeatedWarmRunsAreDeterministic) {
 }
 
 TEST(EngineSession, PerRunParametersVaryFreelyWithinOneShape) {
-  // seed / max_rounds / trace / chaos are per-run; only shape fields pin.
+  // seed / max_rounds / workers / trace / chaos are per-run; only shape
+  // fields pin.
   const Graph g = gen::gnp(16, 0.5, 3);
   Engine::Config cfg;
   EngineSession session(shape_for(16, cfg));
@@ -128,13 +130,38 @@ TEST(EngineSession, PerRunParametersVaryFreelyWithinOneShape) {
   const auto a = session.run(Instance::of(g), traffic_program, cfg);
   cfg.seed = 2;
   cfg.max_rounds = 1000;
+  cfg.workers = 2;
   const auto b = session.run(Instance::of(g), traffic_program, cfg);
   // This program ignores shared randomness, so results agree; the point is
   // that neither call throws a shape mismatch.
   EXPECT_EQ(a.outputs, b.outputs);
 }
 
+TEST(EngineSession, TeamSizeVariesPerRunOnOneSession) {
+  // The worker team (pooled cap / sharded shard count) is a per-run choice:
+  // one warm session runs teams of 1, 2, 3 and "whole pool" back to back,
+  // each bit-identical to a fresh Engine::run with that team.
+  const Graph g = gen::gnp(24, 0.3, 42);
+  for (const auto backend :
+       {ExecutionBackend::kPooled, ExecutionBackend::kSharded}) {
+    Engine::Config cfg;
+    cfg.backend = backend;
+    EngineSession session(shape_for(24, cfg));
+    for (const std::size_t workers : {1, 2, 3, 0}) {
+      cfg.workers = workers;
+      const std::string what = std::string(harness::backend_name(backend)) +
+                               " workers=" + std::to_string(workers);
+      const RunArtifacts fresh = run_fresh(g, cfg, /*chaos=*/false);
+      const RunArtifacts warm = run_warm(session, g, cfg, /*chaos=*/false);
+      expect_identical(fresh, warm, what.c_str());
+    }
+    EXPECT_EQ(session.runs_completed(), 4u);
+  }
+}
+
 TEST(EngineSession, ShapeMismatchedConfigThrows) {
+  // The fields that still pin a shape: bandwidth multiplier, backend and
+  // fiber stack size.
   const Graph g = gen::gnp(16, 0.5, 3);
   Engine::Config cfg;
   EngineSession session(shape_for(16, cfg));
@@ -144,6 +171,10 @@ TEST(EngineSession, ShapeMismatchedConfigThrows) {
                ModelViolation);
   wrong = cfg;
   wrong.backend = ExecutionBackend::kSharded;
+  EXPECT_THROW(session.run(Instance::of(g), traffic_program, wrong),
+               ModelViolation);
+  wrong = cfg;
+  wrong.fiber_stack_bytes = 64 * 1024;
   EXPECT_THROW(session.run(Instance::of(g), traffic_program, wrong),
                ModelViolation);
 }

@@ -3,8 +3,9 @@
 // response — malformed frames, oversized length prefixes, garbage JSON,
 // bad jobs, full queues and drains are all answered by code, and none of
 // them crash, hang, or poison a worker. Plus the warm-cache paths: many
-// clients hammering one cache key get bit-identical results, and a job
-// replayed through the daemon equals the library path.
+// clients hammering one cache key get bit-identical results, the team a
+// job is dispatched on never reaches its result, a job replayed through
+// the daemon equals the library path, and the cache's eviction cap.
 
 #include "service/server.hpp"
 
@@ -12,9 +13,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <latch>
+#include <map>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,6 +311,82 @@ TEST(Protocol, ConcurrentClientsOnOneWarmKeyAgreeBitForBit) {
   server.drain();
 }
 
+// A result frame minus the fields allowed to differ between two runs of
+// one cell (wall clock, cache warmth), as comparable key=value text.
+std::string frame_without_timing(const std::string& frame) {
+  const json::Value v = json::parse(frame, "result");
+  std::ostringstream os;
+  for (const auto& [key, value] : v.obj) {
+    if (key == "wall_ms" || key == "warm") continue;
+    os << key << "=" << static_cast<int>(value.kind) << ":" << value.num
+       << ":" << value.str << ":" << value.b << ";";
+  }
+  return os.str();
+}
+
+TEST(Protocol, TeamSizeDoesNotReachResults) {
+  // One client alone gets the whole pool; four concurrent clients split it.
+  // The job delay holds each job in flight until all four are, so the
+  // dispatch of the concurrent jobs sees them running.
+  Server::Options opts = base_options("team");
+  opts.executors = 4;
+  opts.job_delay_ms = 100;
+  Server server(opts);
+  server.start();
+  const std::string& path = server.options().unix_path;
+
+  std::string solo;
+  {
+    Client client(path);
+    solo = client.request(submit_body(kGoodJob));
+  }
+  ASSERT_EQ(response_type(solo), "result") << solo;
+
+  constexpr int kClients = 4;
+  std::vector<std::string> replies(kClients);
+  std::latch start(kClients);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      Client client(path);
+      start.arrive_and_wait();
+      replies[static_cast<std::size_t>(i)] =
+          client.request(submit_body(kGoodJob));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::string& r : replies) {
+    ASSERT_EQ(response_type(r), "result") << r;
+    EXPECT_EQ(frame_without_timing(r), frame_without_timing(solo));
+  }
+
+  // The stats frame carries jobs_running and the per-team-size counts.
+  Client client(path);
+  const json::Value stats =
+      json::parse(client.request("{\"type\": \"stats\"}"), "stats");
+  ASSERT_NE(stats.find("jobs_running"), nullptr);
+  EXPECT_EQ(stats.find("jobs_running")->num, 0.0);
+  const json::Value* teams = stats.find("team_sizes");
+  ASSERT_NE(teams, nullptr);
+  std::map<std::size_t, std::uint64_t> counts;
+  std::uint64_t jobs = 0;
+  for (const auto& [team, n] : teams->obj) {
+    counts[std::stoul(team)] = static_cast<std::uint64_t>(n.num);
+    jobs += static_cast<std::uint64_t>(n.num);
+  }
+  EXPECT_EQ(counts, server.stats().team_sizes);
+  EXPECT_EQ(jobs, 1u + kClients);
+  const std::size_t whole = std::min<std::size_t>(16, pool_threads());
+  EXPECT_GE(counts[whole], 1u);  // the solo job
+  if (whole > 1) {
+    // At least one concurrent job ran on a smaller team.
+    EXPECT_LT(counts.begin()->first, whole);
+  } else {
+    EXPECT_EQ(counts.size(), 1u);  // a one-thread pool has one team size
+  }
+  server.drain();
+}
+
 TEST(Protocol, DrainRejectsNewSubmitsAndFinishesQueuedOnes) {
   Server::Options opts = base_options("drain");
   opts.executors = 1;
@@ -377,6 +459,66 @@ TEST(Jobs, DaemonResultEqualsLibraryPath) {
   EXPECT_EQ(harness::outputs_fp(res.outputs), cold.output_fp);
   EXPECT_EQ(harness::ledger_fingerprint(trace), cold.ledger_fp);
   EXPECT_TRUE(harness::meters_equal(res.cost, cold.cost));
+}
+
+EngineSession::Shape shape_of_n(NodeId n) {
+  EngineSession::Shape shape;
+  shape.n = n;
+  return shape;
+}
+
+// Leases sessions of n = 4, 5, 6, 7 on a cache with capacity 2 and 2
+// executors, never more than two at once and with the leased count
+// dipping between acquires, then returns them all (released in n order).
+void cycle_four_sessions(EngineCache& cache) {
+  std::optional<EngineCache::Lease> x, y;
+  x.emplace(cache.acquire(shape_of_n(4)));
+  y.emplace(cache.acquire(shape_of_n(5)));
+  x.reset();  // leased 1, idle 1
+  x.emplace(cache.acquire(shape_of_n(6)));
+  y.reset();  // leased 1, idle 2
+  y.emplace(cache.acquire(shape_of_n(7)));
+  x.reset();
+  y.reset();
+}
+
+TEST(EngineCache, IdlePlusLeasedCapKeepsOneSessionPerExecutor) {
+  // Idle + leased ≤ capacity + executors = 4: all four sessions survive
+  // although idle alone reaches 4 > capacity.
+  EngineCache cache(/*session_capacity=*/2, /*executors=*/2);
+  cycle_four_sessions(cache);
+  EXPECT_EQ(cache.stats().misses, 4u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  for (NodeId n = 4; n <= 7; ++n)
+    EXPECT_TRUE(cache.acquire(shape_of_n(n)).warm()) << "n = " << n;
+  EXPECT_EQ(cache.stats().hits, 4u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(EngineCache, FifthSessionEvictsTheLeastRecentlyUsedIdleOne) {
+  EngineCache cache(/*session_capacity=*/2, /*executors=*/2);
+  cycle_four_sessions(cache);  // idle, oldest first: 4, 5, 6, 7
+  EXPECT_FALSE(cache.acquire(shape_of_n(8)).warm());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  for (NodeId n = 5; n <= 8; ++n)
+    EXPECT_TRUE(cache.acquire(shape_of_n(n)).warm()) << "n = " << n;
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_FALSE(cache.acquire(shape_of_n(4)).warm());  // it was evicted
+}
+
+TEST(EngineCache, CapacityZeroIsTheColdBaseline) {
+  // Disabled cache: every release destroys, so nothing is ever warm.
+  EngineCache cache(/*session_capacity=*/0, /*executors=*/2);
+  for (int i = 0; i < 3; ++i) {
+    std::optional<EngineCache::Lease> a, b;
+    a.emplace(cache.acquire(shape_of_n(4)));
+    b.emplace(cache.acquire(shape_of_n(4)));
+    EXPECT_FALSE(a->warm());
+    EXPECT_FALSE(b->warm());
+  }
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 6u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "util/log2_real.hpp"
@@ -174,6 +175,24 @@ TEST(ThreadPool, ReusableAcrossCalls) {
     pool.parallel_for(100, [&](std::size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 500);
+}
+
+TEST(ThreadPool, CountBelowPoolSizeRunsEachIndexOnce) {
+  // A team smaller than the pool (the scheduler's common case under load):
+  // every index runs exactly once, all of them at the same time on
+  // distinct threads (each waits for the others, as a scheduler worker
+  // waits at its barrier), and the call returns.
+  ThreadPool pool(8);
+  for (std::size_t count = 2; count < pool.size(); ++count) {
+    std::vector<std::atomic<int>> hits(count);
+    std::atomic<std::size_t> arrived{0};
+    pool.parallel_for(count, [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      arrived.fetch_add(1);
+      while (arrived.load() < count) std::this_thread::yield();
+    });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "count " << count;
+  }
 }
 
 TEST(ThreadPool, ZeroAndOneCounts) {
