@@ -1,6 +1,7 @@
 #include "clique/routing.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/rng.hpp"
 
@@ -25,7 +26,10 @@ std::vector<std::pair<NodeId, Word>> route_direct(
     sends.emplace_back(m.dst, m.payload);
   }
   const FlatInbox in = ctx.exchange_flat(sends);
+  std::size_t total = 0;
+  for (NodeId src = 0; src < n; ++src) total += in.from(src).size();
   std::vector<std::pair<NodeId, Word>> received;
+  received.reserve(total);
   for (NodeId src = 0; src < n; ++src) {
     for (const Word& w : in.from(src)) received.emplace_back(src, w);
   }
@@ -36,66 +40,84 @@ std::vector<std::pair<NodeId, Word>> route_balanced(
     NodeCtx& ctx, const std::vector<RoutedMessage>& messages) {
   const NodeId n = ctx.n();
   const unsigned idb = node_id_bits(n);
+  // Both node-local orderings below are stable counting sorts over node
+  // ids, sharing one [n + 1] prefix array: at[v] is where key v's run
+  // starts, and placing an element advances it.
+  std::vector<std::size_t> at(static_cast<std::size_t>(n) + 1);
+  auto prefix = [&at] {
+    std::size_t sum = 0;
+    for (std::size_t& a : at) sum += std::exchange(a, sum);
+  };
 
   // Phase 1: stripe destination-sorted messages across intermediaries,
   // starting from a seed-salted offset so that structured workloads do not
   // systematically collide. Each relayed message is a (dst-header, payload)
-  // word pair on the wire.
-  std::vector<RoutedMessage> sorted = messages;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const RoutedMessage& a, const RoutedMessage& b) {
-                     return a.dst < b.dst;
-                   });
+  // word pair on the wire. A message's slot j in the stable destination
+  // order fixes its intermediary, so it is written straight into place.
+  for (const RoutedMessage& m : messages) {
+    CCQ_CHECK_MSG(m.dst < n, "route_balanced: destination range");
+    ++at[m.dst];
+  }
+  prefix();
   const NodeId offset = static_cast<NodeId>(mix64_below(
       ctx.common_seed() ^ (static_cast<std::uint64_t>(ctx.id()) + 1), n));
 
-  SendList phase1;
-  phase1.reserve(2 * sorted.size());
-  for (std::size_t j = 0; j < sorted.size(); ++j) {
-    CCQ_CHECK_MSG(sorted[j].dst < n, "route_balanced: destination range");
+  // One send buffer serves both phases: the plane has finished reading a
+  // deposit by the time exchange_flat returns.
+  SendList sends(2 * messages.size());
+  for (const RoutedMessage& m : messages) {
+    const std::size_t j = at[m.dst]++;
     const NodeId mid = static_cast<NodeId>(
         (offset + j) % static_cast<std::size_t>(n));
-    phase1.emplace_back(mid, Word(sorted[j].dst, idb));
-    phase1.emplace_back(mid, sorted[j].payload);
+    sends[2 * j] = {mid, Word(m.dst, idb)};
+    sends[2 * j + 1] = {mid, m.payload};
   }
   FlatInbox relay_in;
   {
     CCQ_TRACE_SPAN(ctx, "route-scatter");
-    relay_in = ctx.exchange_flat(phase1);
+    relay_in = ctx.exchange_flat(sends);
   }
 
   // Phase 2: forward to the true destinations with an origin header. The
   // relay inbox spans stay valid until this node's next collective, so they
   // are fully consumed before the second exchange below.
-  SendList phase2;
+  sends.clear();
   for (NodeId src = 0; src < n; ++src) {
     const auto q = relay_in.from(src);
     CCQ_CHECK_MSG(q.size() % 2 == 0, "route_balanced: torn relay pair");
     for (std::size_t i = 0; i < q.size(); i += 2) {
       const NodeId dst = static_cast<NodeId>(q[i].value);
       CCQ_CHECK_MSG(dst < n, "route_balanced: relayed destination range");
-      phase2.emplace_back(dst, Word(src, idb));
-      phase2.emplace_back(dst, q[i + 1]);
+      sends.emplace_back(dst, Word(src, idb));
+      sends.emplace_back(dst, q[i + 1]);
     }
   }
   FlatInbox final_in;
   {
     CCQ_TRACE_SPAN(ctx, "route-deliver");
-    final_in = ctx.exchange_flat(phase2);
+    final_in = ctx.exchange_flat(sends);
   }
 
-  std::vector<std::pair<NodeId, Word>> received;
+  // Output: by origin, and within one origin in relay order (intermediary
+  // id, then FIFO) — the stable sort of the relay-ordered pairs by source.
+  std::fill(at.begin(), at.end(), std::size_t{0});
   for (NodeId mid = 0; mid < n; ++mid) {
     const auto q = final_in.from(mid);
     CCQ_CHECK_MSG(q.size() % 2 == 0, "route_balanced: torn delivery pair");
     for (std::size_t i = 0; i < q.size(); i += 2) {
-      received.emplace_back(static_cast<NodeId>(q[i].value), q[i + 1]);
+      CCQ_CHECK_MSG(q[i].value < n, "route_balanced: relayed origin range");
+      ++at[q[i].value];
     }
   }
-  std::stable_sort(received.begin(), received.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
+  prefix();
+  std::vector<std::pair<NodeId, Word>> received(at[n]);
+  for (NodeId mid = 0; mid < n; ++mid) {
+    const auto q = final_in.from(mid);
+    for (std::size_t i = 0; i < q.size(); i += 2) {
+      const auto src = static_cast<NodeId>(q[i].value);
+      received[at[src]++] = {src, q[i + 1]};
+    }
+  }
   return received;
 }
 
@@ -150,20 +172,21 @@ std::vector<std::pair<NodeId, BitVector>> route_blocks(
     for (const Word& w : encode_bits(*it.payload, B)) out.emplace_back(to, w);
   };
 
-  SendList phase1;
+  SendList sends;
   for (std::size_t j = 0; j < items.size(); ++j) {
     const NodeId mid = static_cast<NodeId>(
         (offset + j) % static_cast<std::size_t>(n));
-    frame(phase1, mid, items[j].dst, items[j]);
+    frame(sends, mid, items[j].dst, items[j]);
   }
   FlatInbox relay_in;
   {
     CCQ_TRACE_SPAN(ctx, "blocks-scatter");
-    relay_in = ctx.exchange_flat(phase1);
+    relay_in = ctx.exchange_flat(sends);
   }
 
-  // Relay: reframe with the origin in the header.
-  SendList phase2;
+  // Relay: reframe with the origin in the header, into the phase-1 buffer
+  // (the plane is done with that deposit once exchange_flat returns).
+  sends.clear();
   for (NodeId src = 0; src < n; ++src) {
     const auto q = relay_in.from(src);
     std::size_t pos = 0;
@@ -176,20 +199,20 @@ std::vector<std::pair<NodeId, BitVector>> route_blocks(
       CCQ_CHECK_MSG(pos + 4 + nwords <= q.size(),
                     "route_blocks: torn frame payload");
       CCQ_CHECK_MSG(dst < n, "route_blocks: relayed destination range");
-      phase2.emplace_back(dst, Word(src, idb));
-      phase2.emplace_back(dst, Word(seq, idb));
-      phase2.emplace_back(dst,
-                          Word(len & ((std::uint64_t{1} << idb) - 1), idb));
-      phase2.emplace_back(dst, Word(len >> idb, idb));
+      sends.emplace_back(dst, Word(src, idb));
+      sends.emplace_back(dst, Word(seq, idb));
+      sends.emplace_back(dst,
+                         Word(len & ((std::uint64_t{1} << idb) - 1), idb));
+      sends.emplace_back(dst, Word(len >> idb, idb));
       for (std::size_t i = 0; i < nwords; ++i)
-        phase2.emplace_back(dst, q[pos + 4 + i]);
+        sends.emplace_back(dst, q[pos + 4 + i]);
       pos += 4 + nwords;
     }
   }
   FlatInbox final_in;
   {
     CCQ_TRACE_SPAN(ctx, "blocks-deliver");
-    final_in = ctx.exchange_flat(phase2);
+    final_in = ctx.exchange_flat(sends);
   }
 
   struct Received {

@@ -27,6 +27,21 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+// ASan likewise has to be told about every stack switch, or it treats the
+// fiber stack as an overflow of the worker's and misreads unwinding through
+// a parked fiber (a node program that throws) as a stack-buffer-overflow.
+#if defined(__SANITIZE_ADDRESS__)
+#define CCQ_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CCQ_ASAN 1
+#endif
+#endif
+#ifdef CCQ_ASAN
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 // glibc's swapcontext makes an rt_sigprocmask syscall per switch, which at
 // n = 512 nodes means ~1000 syscalls per superstep — it dominates the pooled
 // backend's cost. On x86-64 we switch stacks ourselves: save the System V
@@ -255,6 +270,13 @@ struct Fiber {
   void* tsan_fiber = nullptr;
   void* tsan_resumer = nullptr;
 #endif
+#ifdef CCQ_ASAN
+  // The fiber's fake stack while it is switched out, and the stack of the
+  // worker that last resumed it (where the next yield switches back to).
+  void* asan_fake_stack = nullptr;
+  const void* asan_worker_bottom = nullptr;
+  std::size_t asan_worker_size = 0;
+#endif
 };
 
 // The fiber the calling worker thread is currently executing, if any.
@@ -467,6 +489,11 @@ class FiberSchedulerBase : public Scheduler {
 #ifdef CCQ_TSAN
       if (f->tsan_fiber) __tsan_destroy_fiber(f->tsan_fiber);
 #endif
+#ifdef CCQ_ASAN
+      // A finished fiber never unwinds its bottom frames, so their redzones
+      // stay poisoned; the next fiber on this stack starts clean.
+      ASAN_UNPOISON_MEMORY_REGION(f->stack.get(), stack_bytes_);
+#endif
       stack_pool_.push_back(std::move(f->stack));
     }
     fibers_.clear();
@@ -480,6 +507,7 @@ class FiberSchedulerBase : public Scheduler {
   // (ccq_fiber_main) can reach it.
   static void run_node(Fiber* f) {
     FiberSchedulerBase* sched = f->sched;
+    arrived_on_fiber(*f);
     try {
       (*sched->body_)(f->id);
       sched->any_returned_.store(true, std::memory_order_relaxed);
@@ -505,6 +533,11 @@ class FiberSchedulerBase : public Scheduler {
     count_switch();
     Fiber* prev = tls_fiber;
     tls_fiber = &f;
+#ifdef CCQ_ASAN
+    void* worker_fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&worker_fake_stack, f.stack.get(),
+                                   stack_bytes_);
+#endif
 #ifdef CCQ_FAST_FIBER
     ccq_fiber_swap(&f.worker_sp, f.sp);
 #else
@@ -516,10 +549,19 @@ class FiberSchedulerBase : public Scheduler {
 #endif
     swapcontext(&here, &f.ctx);
 #endif
+#ifdef CCQ_ASAN
+    __sanitizer_finish_switch_fiber(worker_fake_stack, nullptr, nullptr);
+#endif
     tls_fiber = prev;
   }
 
   void yield_to_worker(Fiber& f) {
+#ifdef CCQ_ASAN
+    // A finished fiber is never resumed: a null save slot lets ASan free
+    // its fake stack now.
+    __sanitizer_start_switch_fiber(f.finished ? nullptr : &f.asan_fake_stack,
+                                   f.asan_worker_bottom, f.asan_worker_size);
+#endif
 #ifdef CCQ_FAST_FIBER
     ccq_fiber_swap(&f.sp, f.worker_sp);
 #else
@@ -527,6 +569,16 @@ class FiberSchedulerBase : public Scheduler {
     __tsan_switch_to_fiber(f.tsan_resumer, 0);
 #endif
     swapcontext(&f.ctx, f.resumer);
+#endif
+    arrived_on_fiber(f);
+  }
+
+  // First thing on the fiber's stack after every switch in: completes the
+  // ASan switch resume() started and records the resuming worker's stack.
+  static void arrived_on_fiber([[maybe_unused]] Fiber& f) {
+#ifdef CCQ_ASAN
+    __sanitizer_finish_switch_fiber(f.asan_fake_stack, &f.asan_worker_bottom,
+                                    &f.asan_worker_size);
 #endif
   }
 

@@ -455,6 +455,58 @@ TEST(MsgPlaneFlat, RoundFlatCostsOneRoundEvenWhenSilent) {
   EXPECT_EQ(run.cost.rounds, 3u);
 }
 
+TEST(MsgPlaneFlat, WarmArenaGrowsAndShrinksWithoutStaleWords) {
+  // The arena is raw storage that grows without copying, so every slot a
+  // collective reads must have been written by that collective. One warm
+  // session per backend runs small traffic, large traffic (the arena
+  // grows), small traffic again (stale words from the large run sit past
+  // the live range), then a broadcast-only run larger still (the arena
+  // grows again, through the broadcast path).
+  constexpr NodeId n = 40;
+  const Graph g = gen::empty(n);
+  constexpr std::size_t kWords = 64;  // > the all-to-all arena, at B = 6
+  const std::size_t bits = kWords * node_id_bits(n);
+  const auto payload = [bits](NodeId id) {
+    BitVector b(bits);
+    for (std::size_t i = 0; i < bits; ++i)
+      if (mix64(id * 7919 + i) & 1) b.set(i);
+    return b;
+  };
+  const auto broadcast_only = [&](NodeCtx& ctx) {
+    std::uint64_t wrong = 0;
+    const std::vector<BitVector> all = ctx.broadcast(payload(ctx.id()));
+    for (NodeId src = 0; src < n; ++src)
+      if (!(all[src] == payload(src))) ++wrong;
+    ctx.output(wrong);
+  };
+  RunResult want_bcast;
+  want_bcast.outputs.assign(n, 0);
+  want_bcast.cost.rounds = kWords;
+  want_bcast.cost.messages = n * (n - 1) * kWords;
+  want_bcast.cost.bits = n * (n - 1) * bits;
+  want_bcast.cost.collectives = 1;
+  want_bcast.cost.max_node_sent = (n - 1) * kWords;
+  want_bcast.cost.max_node_received = (n - 1) * kWords;
+
+  for (const BackendSetup& s : kSetups) {
+    const Engine::Config cfg = config_for(s);
+    EngineSession session(
+        EngineSession::Shape{.n = n, .backend = cfg.backend});
+    for (const int kind : {kSingleHotPair, kSkewedAllToAll, kSingleHotPair}) {
+      const auto program = [kind](NodeCtx& ctx) {
+        traffic_program(ctx, 5, kind);
+      };
+      expect_same_result(traffic_oracle(n, 5, kind),
+                         session.run(Instance::of(g), program, cfg),
+                         std::string(s.name) + " kind=" +
+                             std::to_string(kind));
+    }
+    expect_same_result(want_bcast,
+                       session.run(Instance::of(g), broadcast_only, cfg),
+                       std::string(s.name) + " broadcast-only");
+  }
+}
+
 TEST(MsgPlaneFlat, ArenaViewSurvivesUntilNextCollectiveOnly) {
   // A node may lag behind the others by one collective while still reading
   // its spans: nodes deposit for collective k+1 while a straggler reads

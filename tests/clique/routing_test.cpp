@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <mutex>
 
@@ -231,6 +232,151 @@ TEST(RouteBalanced, PerNodeLoadsStayLinearInLenzenRegime) {
   // balls-in-bins slack.
   EXPECT_LE(res.cost.max_node_sent, 5u * n);
   EXPECT_LE(res.cost.max_node_received, 7u * n);
+}
+
+// ---- order pinning ---------------------------------------------------------
+//
+// route_balanced promises a deterministic received order (by source, then
+// relay order). The workload digests are order-insensitive, so this suite
+// is the guard on order: the router must reproduce, pair for pair and
+// meter for meter, the straightforward stable_sort formulation below.
+
+std::vector<std::pair<NodeId, Word>> route_balanced_by_stable_sort(
+    NodeCtx& ctx, const std::vector<RoutedMessage>& messages) {
+  const NodeId n = ctx.n();
+  const unsigned idb = node_id_bits(n);
+  std::vector<RoutedMessage> sorted = messages;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const RoutedMessage& a, const RoutedMessage& b) {
+                     return a.dst < b.dst;
+                   });
+  const NodeId offset = static_cast<NodeId>(mix64_below(
+      ctx.common_seed() ^ (static_cast<std::uint64_t>(ctx.id()) + 1), n));
+  std::vector<std::pair<NodeId, Word>> phase1;
+  for (std::size_t j = 0; j < sorted.size(); ++j) {
+    const NodeId mid = static_cast<NodeId>((offset + j) % n);
+    phase1.emplace_back(mid, Word(sorted[j].dst, idb));
+    phase1.emplace_back(mid, sorted[j].payload);
+  }
+  const FlatInbox relay_in = ctx.exchange_flat(phase1);
+  std::vector<std::pair<NodeId, Word>> phase2;
+  for (NodeId src = 0; src < n; ++src) {
+    const auto q = relay_in.from(src);
+    for (std::size_t i = 0; i < q.size(); i += 2) {
+      const NodeId dst = static_cast<NodeId>(q[i].value);
+      phase2.emplace_back(dst, Word(src, idb));
+      phase2.emplace_back(dst, q[i + 1]);
+    }
+  }
+  const FlatInbox final_in = ctx.exchange_flat(phase2);
+  std::vector<std::pair<NodeId, Word>> received;
+  for (NodeId mid = 0; mid < n; ++mid) {
+    const auto q = final_in.from(mid);
+    for (std::size_t i = 0; i < q.size(); i += 2) {
+      received.emplace_back(static_cast<NodeId>(q[i].value), q[i + 1]);
+    }
+  }
+  std::stable_sort(received.begin(), received.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  return received;
+}
+
+// Runs `router` on every node and returns each node's received list
+// (order kept) with the run's meter.
+template <typename Router, typename DemandFn>
+std::pair<std::vector<std::vector<std::pair<NodeId, Word>>>, CostMeter>
+run_ordered(NodeId n, const Engine::Config& cfg, Router router,
+            DemandFn demand) {
+  std::vector<std::vector<std::pair<NodeId, Word>>> got(n);
+  auto res = Engine::run(
+      gen::empty(n),
+      [&](NodeCtx& ctx) {
+        got[ctx.id()] = router(ctx, demand(ctx.id(), ctx.n()));
+        ctx.output(0);
+      },
+      cfg);
+  return {std::move(got), res.cost};
+}
+
+// Payloads vary per message so that any reordering shows.
+Word order_word(SplitMix64& rng, NodeId n) {
+  const unsigned b = node_id_bits(n);
+  return Word(rng.next() & ((std::uint64_t{1} << b) - 1), b);
+}
+
+TEST(RouteBalanced, OrderAndMetersMatchStableSortFormulation) {
+  using Demand = std::function<std::vector<RoutedMessage>(NodeId, NodeId)>;
+  const std::pair<const char*, Demand> demands[] = {
+      {"empty", [](NodeId, NodeId) { return std::vector<RoutedMessage>{}; }},
+      // Random destinations, self included: plenty of duplicates.
+      {"duplicates",
+       [](NodeId id, NodeId n) {
+         SplitMix64 rng(id * 0x9e37ULL + n);
+         std::vector<RoutedMessage> out;
+         const std::uint64_t count = rng.next_below(2 * n + 1);
+         for (std::uint64_t i = 0; i < count; ++i) {
+           const auto dst = static_cast<NodeId>(rng.next_below(n));
+           out.push_back({dst, order_word(rng, n)});
+         }
+         return out;
+       }},
+      // Every node sends a burst to node n/2; half the nodes send nothing.
+      {"hotspot",
+       [](NodeId id, NodeId n) {
+         SplitMix64 rng(id * 7919 + 3);
+         std::vector<RoutedMessage> out;
+         if (id % 2 == 0) {
+           for (NodeId i = 0; i < 5; ++i)
+             out.push_back({n / 2, order_word(rng, n)});
+         }
+         return out;
+       }},
+  };
+  const std::pair<ExecutionBackend, const char*> backends[] = {
+      {ExecutionBackend::kThreadPerNode, "thread-per-node"},
+      {ExecutionBackend::kPooled, "pooled"},
+      {ExecutionBackend::kSharded, "sharded"},
+  };
+  for (const NodeId n : {1u, 2u, 3u, 37u, 128u, 256u}) {
+    for (const auto& [dname, demand] : demands) {
+      for (const auto& [backend, bname] : backends) {
+        Engine::Config cfg;
+        cfg.backend = backend;
+        const std::string what = "n=" + std::to_string(n) + " " + dname +
+                                 " " + bname;
+        const auto [want, want_cost] =
+            run_ordered(n, cfg, route_balanced_by_stable_sort, demand);
+        const auto [got, cost] = run_ordered(n, cfg, balanced, demand);
+        EXPECT_EQ(got, want) << what;
+        EXPECT_EQ(cost.rounds, want_cost.rounds) << what;
+        EXPECT_EQ(cost.messages, want_cost.messages) << what;
+        EXPECT_EQ(cost.bits, want_cost.bits) << what;
+        EXPECT_EQ(cost.collectives, want_cost.collectives) << what;
+        EXPECT_EQ(cost.max_node_sent, want_cost.max_node_sent) << what;
+        EXPECT_EQ(cost.max_node_received, want_cost.max_node_received)
+            << what;
+      }
+    }
+  }
+}
+
+TEST(RouteBalanced, RejectsOutOfRangeDestination) {
+  const NodeId n = 6;
+  try {
+    Engine::run(gen::empty(n), [](NodeCtx& ctx) {
+      std::vector<RoutedMessage> msgs{{0, Word(1, 1)}};
+      if (ctx.id() == 4) msgs.push_back({ctx.n(), Word(1, 1)});
+      route_balanced(ctx, msgs);
+      ctx.output(0);
+    });
+    FAIL() << "destination n was accepted";
+  } catch (const ModelViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("route_balanced: destination range"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Engine, PerNodeLoadMetersExact) {
