@@ -7,7 +7,7 @@
 //
 // Usage:
 //   benchjson::Writer out;
-//   out.add({{"n", 512}, {"backend", "pooled"}, {"wall_ms", 12.3}});
+//   out.add({{"n", 512}, {"backend", "sharded"}, {"wall_ms", 12.3}});
 //   out.write("BENCH_routing.json");
 //
 // TraceSession (below) is the shared --trace=<path> plumbing: construct it

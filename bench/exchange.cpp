@@ -131,7 +131,7 @@ bool same_meters(const RunResult& a, const RunResult& b) {
 void add_record(benchjson::Writer& json, NodeId n, const char* plane,
                 const Sample& s) {
   json.add({{"n", n},
-            {"backend", "pooled"},
+            {"backend", "sharded"},
             {"plane", plane},
             {"wall_ms", s.millis},
             {"rounds", s.result.cost.rounds},
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   const int trials = check ? 5 : 3;
 
   std::printf("Message plane (allocation-bound load: %d skewed all-to-all\n"
-              "exchange supersteps, best of %d trials, pooled backend):\n\n",
+              "exchange supersteps, best of %d trials, sharded backend):\n\n",
               kSupersteps, trials);
 
   std::vector<NodeId> sizes = {128, 256, 512};
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     json.add({{"n", n},
-              {"backend", "pooled"},
+              {"backend", "sharded"},
               {"plane", "flat"},
               {"trace", "on"},
               {"wall_ms", on.millis},

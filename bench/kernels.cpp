@@ -1,15 +1,12 @@
-// Local-compute kernel comparison bench (DESIGN.md §11) + the original
-// google-benchmark micro-benchmarks behind --micro.
+// Local-compute kernel comparison bench (DESIGN.md §11).
 //
-// Default mode sweeps the serial/blocked/bit-packed/parallel MM kernels
-// against the seed's mm_naive per semiring, and the bulk word-level
-// pack/unpack paths against the per-entry reference, printing speedup
-// tables. Every timed result is compared bit-for-bit against mm_naive (or
+// Sweeps the tiled/bit-packed/parallel/auto MM kernels against the seed's
+// mm_naive per semiring, and the bulk word-level pack/unpack paths against
+// the per-entry reference, printing speedup tables. Every timed result is compared bit-for-bit against mm_naive (or
 // the per-entry codec) before it is reported — a kernel that is fast but
 // wrong fails the run, not just --check.
 //
 // Usage: bench_kernels [--n=N] [--check] [--trace=PATH]
-//                      [--micro [gbench flags]]
 //   --n=N     run a single size instead of the 128/256/512 sweep
 //   --check   CI smoke mode: exit non-zero if any kernel disagrees with
 //             mm_naive, if mm_parallel is not identical across worker
@@ -23,20 +20,16 @@
 // Respects CCQ_SIMD=off (forces the scalar paths); the SIMD columns are
 // measured by forcing each dispatch level around the same kernel, so the
 // scalar/SIMD comparison works regardless of the ambient policy.
-//   --micro   run the google-benchmark micro-benchmarks (engine
-//             collectives, routing, oracles) instead; remaining flags go
-//             to google-benchmark
-//   --trace=PATH  record a round trace of engine runs (micro mode only —
-//             the comparison mode is pure local compute)
+//   --trace=PATH  accepted like every bench's, but records nothing: the
+//             bench is pure local compute and runs no engine
 //
 // Writes BENCH_kernels.json ({n, semiring, kernel, wall_ms, speedup} per
 // MM row; {entry_bits, path, wall_ms, mentries_per_s} per packing row).
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,9 +40,6 @@
 #include "algebra/simd.hpp"
 #include "bench_args.hpp"
 #include "bench_json.hpp"
-#include "clique/routing.hpp"
-#include "graph/generators.hpp"
-#include "graph/oracles.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -93,8 +83,6 @@ double time_best_ms(int trials, Fn&& fn) {
   }
   return best;
 }
-
-// ---- comparison mode ------------------------------------------------------
 
 struct CheckState {
   bool check = false;
@@ -150,7 +138,7 @@ void bool_mm_table(benchjson::Writer& json, CheckState& cs,
   std::printf("Boolean MM (byte-wide mm_naive vs bit-packed kernels; the\n"
               "bitpacked column includes the Matrix<->BitMatrix "
               "conversions):\n\n");
-  Table t({"n", "naive ms", "blocked ms", "tiled ms", "bitpk scalar ms",
+  Table t({"n", "naive ms", "tiled ms", "bitpk scalar ms",
            "bitpacked ms", "auto ms", "bitpacked speedup"});
   for (std::size_t n : sizes) {
     const auto a = random_square<BoolSemiring>(n, 11, 2);
@@ -163,9 +151,6 @@ void bool_mm_table(benchjson::Writer& json, CheckState& cs,
               {"kernel", "naive"},
               {"wall_ms", naive_ms},
               {"speedup", 1.0}});
-    const double blocked_ms =
-        mm_row(json, n, "bool", "blocked", trials, expect, naive_ms,
-               [&] { return mm_blocked<BoolSemiring>(a, b, 32); });
     const double tiled_ms =
         mm_row(json, n, "bool", "tiled", trials, expect, naive_ms,
                [&] { return kernels::mm_tiled<BoolSemiring>(a, b); });
@@ -182,8 +167,7 @@ void bool_mm_table(benchjson::Writer& json, CheckState& cs,
         mm_row(json, n, "bool", "auto", trials, expect, naive_ms,
                [&] { return kernels::mm_auto<BoolSemiring>(a, b); });
     t.add_row({std::to_string(n), Table::fmt(naive_ms, 2),
-               Table::fmt(blocked_ms, 2), Table::fmt(tiled_ms, 2),
-               Table::fmt(bit_scalar_ms, 2), Table::fmt(bit_ms, 2),
+               Table::fmt(tiled_ms, 2), Table::fmt(bit_scalar_ms, 2), Table::fmt(bit_ms, 2),
                Table::fmt(auto_ms, 2), fmt_speedup(naive_ms, bit_ms)});
     if (cs.check && n >= 256 && naive_ms < 4.0 * bit_ms)
       cs.fail("boolean bitpacked speedup < 4x at n=" + std::to_string(n));
@@ -197,7 +181,7 @@ void minplus_mm_table(benchjson::Writer& json, CheckState& cs,
               "saturation-shortcut\nmicro-kernel, parallel shards rows over "
               "the kernel pool, %zu worker(s)):\n\n",
               kernels::pool().size());
-  Table t({"n", "naive ms", "blocked ms", "tiled scalar ms", "tiled ms",
+  Table t({"n", "naive ms", "tiled scalar ms", "tiled ms",
            "parallel ms", "auto ms", "simd speedup"});
   for (std::size_t n : sizes) {
     const auto a = random_minplus(n, 21);
@@ -210,9 +194,6 @@ void minplus_mm_table(benchjson::Writer& json, CheckState& cs,
               {"kernel", "naive"},
               {"wall_ms", naive_ms},
               {"speedup", 1.0}});
-    const double blocked_ms =
-        mm_row(json, n, "minplus", "blocked", trials, expect, naive_ms,
-               [&] { return mm_blocked<MinPlusSemiring>(a, b, 32); });
     const double tiled_scalar_ms =
         mm_row(json, n, "minplus", "tiled_scalar", trials, expect, naive_ms,
                [&] {
@@ -232,8 +213,7 @@ void minplus_mm_table(benchjson::Writer& json, CheckState& cs,
     const double best =
         std::min({tiled_ms, parallel_ms, auto_ms});
     t.add_row({std::to_string(n), Table::fmt(naive_ms, 2),
-               Table::fmt(blocked_ms, 2), Table::fmt(tiled_scalar_ms, 2),
-               Table::fmt(tiled_ms, 2), Table::fmt(parallel_ms, 2),
+               Table::fmt(tiled_scalar_ms, 2), Table::fmt(tiled_ms, 2), Table::fmt(parallel_ms, 2),
                Table::fmt(auto_ms, 2),
                fmt_speedup(tiled_scalar_ms, tiled_ms)});
     if (cs.check && n >= 256 && naive_ms < 1.2 * best)
@@ -438,150 +418,11 @@ int run_comparison(std::vector<std::size_t> sizes, bool check) {
   return 0;
 }
 
-// ---- micro mode (google-benchmark) ---------------------------------------
-
-void BM_EngineBroadcast(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Graph g = gen::gnp(n, 0.3, 7);
-  for (auto _ : state) {
-    auto r = Engine::run(g, [](NodeCtx& ctx) {
-      auto rows = ctx.broadcast(ctx.adj_row());
-      ctx.output(rows[0].popcount());
-    });
-    benchmark::DoNotOptimize(r.outputs.data());
-  }
-  state.SetLabel("thread-per-node engine, one full row broadcast");
-}
-BENCHMARK(BM_EngineBroadcast)->Arg(16)->Arg(64)->Arg(128);
-
-void BM_EngineShareBit(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Graph g = gen::empty(n);
-  for (auto _ : state) {
-    auto r = Engine::run(g, [](NodeCtx& ctx) {
-      bool b = ctx.id() % 2 == 0;
-      for (int i = 0; i < 8; ++i) b = ctx.any(b);
-      ctx.decide(b);
-    });
-    benchmark::DoNotOptimize(r.outputs.data());
-  }
-}
-BENCHMARK(BM_EngineShareBit)->Arg(16)->Arg(64);
-
-void BM_RouteBalanced(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Graph g = gen::empty(n);
-  for (auto _ : state) {
-    auto r = Engine::run(g, [](NodeCtx& ctx) {
-      SplitMix64 rng(ctx.id() + 1);
-      std::vector<RoutedMessage> msgs;
-      for (NodeId i = 0; i < ctx.n(); ++i) {
-        NodeId dst;
-        do {
-          dst = static_cast<NodeId>(rng.next_below(ctx.n()));
-        } while (dst == ctx.id());
-        msgs.push_back({dst, Word(1, 1)});
-      }
-      auto got = route_balanced(ctx, msgs);
-      ctx.output(got.size());
-    });
-    benchmark::DoNotOptimize(r.outputs.data());
-  }
-}
-BENCHMARK(BM_RouteBalanced)->Arg(16)->Arg(64);
-
-void BM_MmNaive(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto a = random_square<I64Ring>(n, 1, 100);
-  auto b = random_square<I64Ring>(n, 2, 100);
-  for (auto _ : state) {
-    auto c = mm_naive<I64Ring>(a, b);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-}
-BENCHMARK(BM_MmNaive)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_MmTiled(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto a = random_square<I64Ring>(n, 1, 100);
-  auto b = random_square<I64Ring>(n, 2, 100);
-  for (auto _ : state) {
-    auto c = kernels::mm_tiled<I64Ring>(a, b);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-}
-BENCHMARK(BM_MmTiled)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_MmStrassen(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto a = random_square<I64Ring>(n, 1, 100);
-  auto b = random_square<I64Ring>(n, 2, 100);
-  for (auto _ : state) {
-    auto c = mm_strassen<I64Ring>(a, b, 64);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-}
-BENCHMARK(BM_MmStrassen)->Arg(128)->Arg(256);
-
-void BM_BitMm(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto a = kernels::BitMatrix::from_matrix(random_square<BoolSemiring>(n, 1, 2));
-  auto b = kernels::BitMatrix::from_matrix(random_square<BoolSemiring>(n, 2, 2));
-  for (auto _ : state) {
-    auto c = kernels::bit_mm(a, b);
-    benchmark::DoNotOptimize(&c);
-  }
-}
-BENCHMARK(BM_BitMm)->Arg(64)->Arg(256)->Arg(512);
-
-void BM_OracleMaxIS(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Graph g = gen::gnp(n, 0.6, 11);
-  for (auto _ : state) {
-    auto w = oracle::max_independent_set(g);
-    benchmark::DoNotOptimize(w.data());
-  }
-}
-BENCHMARK(BM_OracleMaxIS)->Arg(24)->Arg(40);
-
-void BM_OracleDominatingSet(benchmark::State& state) {
-  const NodeId n = static_cast<NodeId>(state.range(0));
-  Graph g = gen::gnp(n, 0.25, 13);
-  for (auto _ : state) {
-    auto w = oracle::dominating_set(g, 3);
-    benchmark::DoNotOptimize(&w);
-  }
-}
-BENCHMARK(BM_OracleDominatingSet)->Arg(20)->Arg(28);
-
 }  // namespace
 }  // namespace ccq
 
-// Hand-rolled main: the shared --trace=<path> flag is stripped by
-// TraceSession before google-benchmark's flag parser (which rejects unknown
-// flags) sees argv; --micro selects the gbench micro-benchmarks, everything
-// else runs the comparison tables.
 int main(int argc, char** argv) {
   ccq::benchjson::TraceSession trace_session(&argc, argv);
-
-  bool micro = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--micro") == 0) {
-      micro = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-
-  if (micro) {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (!trace_session.finish(nullptr)) return 1;
-    return 0;
-  }
 
   std::size_t only_n = 0;
   bool check = false;
@@ -593,7 +434,7 @@ int main(int argc, char** argv) {
       check = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--n=N] [--check] [--trace=PATH] [--micro]\n",
+                   "usage: %s [--n=N] [--check] [--trace=PATH]\n",
                    argv[0]);
       return 2;
     }

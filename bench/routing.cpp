@@ -44,7 +44,7 @@ std::uint64_t measure(NodeId n, Router router,
 }
 
 // Wall-clock of the rendezvous-bound regime — many light supersteps, the
-// load the pooled scheduler targets — under a given execution backend. The
+// load the fiber scheduler targets — under a given execution backend. The
 // cost meters must be byte-identical across backends, which we assert here.
 // (Delivery-compute-bound loads like route_balanced at large n spend their
 // time in the shared serial delivery step, identical across backends, so
@@ -87,31 +87,31 @@ BackendSample run_backend(NodeId n, ExecutionBackend backend, int trials) {
 void backend_comparison() {
   std::printf(
       "\nExecution backends (rendezvous-bound load: 8 light ring supersteps,\n"
-      "best of 3 trials): pooled superstep scheduler vs thread-per-node\n"
+      "best of 3 trials): sharded fiber scheduler vs thread-per-node\n"
       "reference. Cost meters must be byte-identical; only wall-clock may\n"
       "differ:\n");
-  Table t({"n", "thread/node ms", "pooled ms", "speedup", "counts equal"});
+  Table t({"n", "thread/node ms", "sharded ms", "speedup", "counts equal"});
   for (NodeId n : {128u, 256u, 512u}) {
     const auto tpn = run_backend(n, ExecutionBackend::kThreadPerNode, 3);
-    const auto pool = run_backend(n, ExecutionBackend::kPooled, 3);
+    const auto fib = run_backend(n, ExecutionBackend::kSharded, 3);
     const bool same =
-        tpn.result.outputs == pool.result.outputs &&
-        tpn.result.cost.rounds == pool.result.cost.rounds &&
-        tpn.result.cost.messages == pool.result.cost.messages &&
-        tpn.result.cost.bits == pool.result.cost.bits &&
-        tpn.result.cost.collectives == pool.result.cost.collectives &&
-        tpn.result.cost.max_node_sent == pool.result.cost.max_node_sent &&
+        tpn.result.outputs == fib.result.outputs &&
+        tpn.result.cost.rounds == fib.result.cost.rounds &&
+        tpn.result.cost.messages == fib.result.cost.messages &&
+        tpn.result.cost.bits == fib.result.cost.bits &&
+        tpn.result.cost.collectives == fib.result.cost.collectives &&
+        tpn.result.cost.max_node_sent == fib.result.cost.max_node_sent &&
         tpn.result.cost.max_node_received ==
-            pool.result.cost.max_node_received;
+            fib.result.cost.max_node_received;
     if (!same) {
       std::printf("FATAL: backends disagree on metered cost at n=%u\n", n);
       std::exit(1);
     }
     record(n, "thread-per-node", tpn.millis, tpn.result);
-    record(n, "pooled", pool.millis, pool.result);
+    record(n, "sharded", fib.millis, fib.result);
     t.add_row({std::to_string(n), Table::fmt(tpn.millis, 1),
-               Table::fmt(pool.millis, 1),
-               Table::fmt(tpn.millis / pool.millis, 1), "yes"});
+               Table::fmt(fib.millis, 1),
+               Table::fmt(tpn.millis / fib.millis, 1), "yes"});
   }
   t.print();
 }
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nShape check: balanced-load rounds stay O(1) as n grows; skewed "
       "direct grows\nlinearly in m while the two-phase router stays near "
-      "2·⌈m/n⌉·2; the pooled\nscheduler wins wall-clock on rendezvous-bound "
+      "2·⌈m/n⌉·2; the fiber\nscheduler wins wall-clock on rendezvous-bound "
       "loads without moving a single\nmetered count.\n");
   return 0;
 }

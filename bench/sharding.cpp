@@ -1,26 +1,26 @@
 // Sharded owner-computes backend (ExecutionBackend::kSharded) scaling.
 //
-// The sharded backend exists for n ≫ cores (DESIGN.md §12): static
-// contiguous node shards, one plain id-ordered resume loop per owning
-// worker, no shared work-stealing counter. This bench measures what that
-// buys (and costs) on the two loads the backend targets:
+// The fiber backend (DESIGN.md §7) cuts the node id space into static
+// contiguous shards, one plain id-ordered resume loop per owning worker,
+// no shared claim counter. This bench measures how it scales with the
+// shard count on the two loads it targets:
 //
 //  * routing — a balanced-router batch (n messages per node, Lenzen's
-//    regime) plus light ring supersteps, swept up to n = 8192 across
-//    shard counts and against the pooled fiber scheduler;
+//    regime) plus light ring supersteps, swept up to n = 8192;
 //  * distributed MM — the 3-D semiring algorithm's subcube collectives
 //    (algebra/distributed_mm.hpp), the paper's §7 workload, at n ≤ 1024.
 //
-// Cost meters and outputs must be byte-identical across every backend and
-// shard count — the bench exits non-zero on any divergence, in or out of
-// --check mode; wall-clock is the only column allowed to move.
+// Cost meters and outputs must be byte-identical across every shard count
+// (sharded/1, a single worker, is the reference) — the bench exits
+// non-zero on any divergence, in or out of --check mode; wall-clock is the
+// only column allowed to move.
 //
 // Usage: bench_sharding [--n=N] [--check] [--trace=PATH]
 //   --n=N     run a single clique size instead of the default sweep
-//   --check   CI smoke mode: exit non-zero if the sharded backend is
-//             slower than pooled beyond kCheckTolerance (shared runners
-//             jitter best-of-k timings by ~10%, so an exact comparison
-//             would flake on timer noise alone)
+//   --check   CI smoke mode: exit non-zero if sharded/hw (one shard per
+//             pool thread) is slower than sharded/1 beyond kCheckTolerance
+//             (shared runners jitter best-of-k timings by ~10%, so an
+//             exact comparison would flake on timer noise alone)
 //   --trace=PATH  record a round trace of every run (chrome://tracing)
 //
 // Writes BENCH_sharding.json ({n, load, backend, shards, wall_ms, rounds,
@@ -45,9 +45,10 @@ using namespace ccq;
 
 namespace {
 
-// --check fails only when sharded exceeds pooled by this factor: the gate
-// catches real regressions (the backends should be within a few percent of
-// each other on these loads), not CI wall-clock jitter.
+// --check fails only when sharded/hw exceeds sharded/1 by this factor: a
+// full team must never lose to a single worker (on a one-core runner the
+// two are the same run), so the gate catches real regressions in the
+// parallel phases, not CI wall-clock jitter.
 constexpr double kCheckTolerance = 1.15;
 
 benchjson::Writer g_json;
@@ -58,17 +59,16 @@ struct Sample {
 };
 
 struct Setup {
-  ExecutionBackend backend;
-  std::size_t workers;  // pooled: worker cap; sharded: shard count
+  std::size_t shards;  // 0 = one per pool thread
   const char* name;
 };
 
+// The first setup is the meter reference every other one must match.
 const Setup kSetups[] = {
-    {ExecutionBackend::kPooled, 0, "pooled"},
-    {ExecutionBackend::kSharded, 1, "sharded/1"},
-    {ExecutionBackend::kSharded, 2, "sharded/2"},
-    {ExecutionBackend::kSharded, 4, "sharded/4"},
-    {ExecutionBackend::kSharded, 0, "sharded/hw"},
+    {1, "sharded/1"},
+    {2, "sharded/2"},
+    {4, "sharded/4"},
+    {0, "sharded/hw"},
 };
 
 // Balanced-router batch + light ring supersteps: the mixed load the
@@ -118,8 +118,7 @@ void mm_program(NodeCtx& ctx) {
 Sample run_setup(NodeId n, const NodeProgram& program, const Setup& s,
                  int trials) {
   Engine::Config cfg;
-  cfg.backend = s.backend;
-  cfg.workers = std::min<std::size_t>(s.workers, n);
+  cfg.workers = std::min<std::size_t>(s.shards, n);
   Sample out;
   for (int t = 0; t < trials; ++t) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -144,9 +143,8 @@ bool same_metered(const RunResult& a, const RunResult& b) {
 void record(NodeId n, const char* load, const Setup& s, const Sample& smp) {
   g_json.add({{"n", n},
               {"load", load},
-              {"backend",
-               s.backend == ExecutionBackend::kPooled ? "pooled" : "sharded"},
-              {"shards", std::uint64_t{s.workers}},
+              {"backend", "sharded"},
+              {"shards", std::uint64_t{s.shards}},
               {"wall_ms", smp.millis},
               {"rounds", smp.result.cost.rounds},
               {"messages", smp.result.cost.messages},
@@ -154,14 +152,13 @@ void record(NodeId n, const char* load, const Setup& s, const Sample& smp) {
 }
 
 // Runs `program` at each n under every setup, prints the scaling table,
-// returns {pooled ms, sharded/hw ms} of the largest n for the check gate.
+// returns {sharded/1 ms, sharded/hw ms} of the largest n for the check gate.
 std::pair<double, double> sweep(const char* load, const NodeProgram& program,
                                 const std::vector<NodeId>& sizes,
                                 int trials) {
   std::printf(
-      "\n%s load (best of %d): pooled fiber scheduler vs sharded\n"
-      "owner-computes across shard counts. Meters must be byte-identical;\n"
-      "only wall-clock may differ:\n",
+      "\n%s load (best of %d): sharded fiber scheduler across shard\n"
+      "counts. Meters must be byte-identical; only wall-clock may differ:\n",
       load, trials);
   std::vector<std::string> header = {"n"};
   for (const Setup& s : kSetups) header.emplace_back(std::string(s.name) + " ms");
@@ -173,16 +170,15 @@ std::pair<double, double> sweep(const char* load, const NodeProgram& program,
     Sample ref;
     for (const Setup& s : kSetups) {
       const Sample smp = run_setup(n, program, s, trials);
-      if (s.backend == ExecutionBackend::kPooled) {
+      if (&s == &kSetups[0]) {
         ref = smp;
         gate.first = smp.millis;
       } else if (!same_metered(ref.result, smp.result)) {
-        std::printf("FATAL: %s meters diverge from pooled at n=%u\n", s.name,
-                    n);
+        std::printf("FATAL: %s meters diverge from %s at n=%u\n", s.name,
+                    kSetups[0].name, n);
         std::exit(1);
       }
-      if (s.workers == 0 && s.backend == ExecutionBackend::kSharded)
-        gate.second = smp.millis;
+      if (s.shards == 0) gate.second = smp.millis;
       record(n, load, s, smp);
       cells.push_back(Table::fmt(smp.millis, 1));
     }
@@ -220,20 +216,21 @@ int run_bench(std::vector<NodeId> sizes, bool check,
   if (check) {
     bool ok = true;
     if (routing_gate.second > routing_gate.first * kCheckTolerance) {
-      std::printf("CHECK FAILED: sharded routing %.1f ms vs pooled %.1f ms "
-                  "(> %.0f%% tolerance)\n",
+      std::printf("CHECK FAILED: sharded/hw routing %.1f ms vs sharded/1 "
+                  "%.1f ms (> %.0f%% tolerance)\n",
                   routing_gate.second, routing_gate.first,
                   (kCheckTolerance - 1) * 100);
       ok = false;
     }
     if (mm_gate.second > mm_gate.first * kCheckTolerance) {
-      std::printf("CHECK FAILED: sharded MM %.1f ms vs pooled %.1f ms "
+      std::printf("CHECK FAILED: sharded/hw MM %.1f ms vs sharded/1 %.1f ms "
                   "(> %.0f%% tolerance)\n",
                   mm_gate.second, mm_gate.first, (kCheckTolerance - 1) * 100);
       ok = false;
     }
     if (!ok) return 1;
-    std::printf("CHECK OK: sharded within %.0f%% of pooled on both loads\n",
+    std::printf("CHECK OK: sharded/hw within %.0f%% of sharded/1 on both "
+                "loads\n",
                 (kCheckTolerance - 1) * 100);
   }
   return 0;
@@ -257,6 +254,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  std::printf("Sharded backend scaling (owner-computes, DESIGN.md §12)\n");
+  std::printf("Sharded backend scaling (owner-computes, DESIGN.md §7)\n");
   return run_bench(std::move(sizes), check, trace_session);
 }

@@ -24,7 +24,7 @@
 //
 //  * mm_auto / mm_local — dispatch (semiring × size × pool availability) so
 //    callers pick up the best kernel without hand-tuning. mm_local is the
-//    serial subset, safe inside engine node programs (a pooled-scheduler
+//    serial subset, safe inside engine node programs (a fiber-scheduler
 //    fiber must never block on the kernel pool).
 //
 // All kernels produce results bit-for-bit identical to mm_naive<S>: the

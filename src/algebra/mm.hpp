@@ -48,36 +48,6 @@ Matrix<typename S::Value> mm_naive(const Matrix<typename S::Value>& a,
   return c;
 }
 
-/// Cache-blocked product; identical results to mm_naive.
-template <Semiring S>
-Matrix<typename S::Value> mm_blocked(const Matrix<typename S::Value>& a,
-                                     const Matrix<typename S::Value>& b,
-                                     std::size_t block = 32) {
-  CCQ_CHECK(a.cols() == b.rows());
-  CCQ_CHECK(block >= 1);
-  using V = typename S::Value;
-  Matrix<V> c(a.rows(), b.cols(), S::zero());
-  for (std::size_t ii = 0; ii < a.rows(); ii += block) {
-    const std::size_t imax = std::min(ii + block, a.rows());
-    for (std::size_t kk = 0; kk < a.cols(); kk += block) {
-      const std::size_t kmax = std::min(kk + block, a.cols());
-      for (std::size_t jj = 0; jj < b.cols(); jj += block) {
-        const std::size_t jmax = std::min(jj + block, b.cols());
-        for (std::size_t i = ii; i < imax; ++i) {
-          for (std::size_t k = kk; k < kmax; ++k) {
-            const V aik = a.at(i, k);
-            if (aik == S::zero()) continue;
-            for (std::size_t j = jj; j < jmax; ++j) {
-              c.at(i, j) = S::add(c.at(i, j), S::mul(aik, b.at(k, j)));
-            }
-          }
-        }
-      }
-    }
-  }
-  return c;
-}
-
 /// Strassen's algorithm over a ring (requires subtraction); pads to the
 /// next power of two and falls back to mm_naive below `cutoff`.
 template <Ring R>

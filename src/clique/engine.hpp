@@ -18,13 +18,13 @@
 // rounds from the actual per-pair queue drain.
 //
 // Node programs execute on a pluggable scheduler backend
-// (Config::backend, see clique/scheduler.hpp): by default they run as
-// cooperatively yielding fibers over a fixed worker pool, one superstep
-// per collective; ExecutionBackend::kSharded statically shards the node id
-// space across workers (owner-computes, for n ≫ cores — DESIGN.md §12);
-// ExecutionBackend::kThreadPerNode keeps the historical thread-per-node
-// execution as a reference. Results are bit-for-bit identical across
-// backends, worker counts, shard counts, and schedules.
+// (Config::backend, see clique/scheduler.hpp): by default
+// (ExecutionBackend::kSharded) they run as cooperatively yielding fibers
+// over a fixed worker pool, one superstep per collective, with the node id
+// space cut into contiguous shards that workers own statically
+// (owner-computes — DESIGN.md §7); ExecutionBackend::kThreadPerNode keeps
+// the historical thread-per-node execution as a reference. Results are
+// bit-for-bit identical across backends, shard counts, and schedules.
 
 #include <cstdint>
 #include <functional>
@@ -151,9 +151,10 @@ using NodeProgram = std::function<void(NodeCtx&)>;
 /// unwinding the node program closes the span at the abort coordinates.
 /// No-op (one branch) when the run is untraced.
 ///
-/// The span is anchored to a NodeCtx rather than a thread: pooled-backend
-/// fibers migrate across OS threads between collectives, so thread-local
-/// "current node" tracking would misattribute labels. Use the macro:
+/// The span is anchored to a NodeCtx rather than a thread: fiber-backend
+/// workers resume many nodes on one OS thread, and a warm session's node
+/// may run on a different thread each run, so thread-local "current node"
+/// tracking would misattribute labels. Use the macro:
 ///
 ///   void my_protocol(NodeCtx& ctx) {
 ///     CCQ_TRACE_SPAN(ctx, "lenzen-phase1");
@@ -204,15 +205,15 @@ class Engine {
     std::uint64_t max_rounds = 1u << 24;  ///< runaway-algorithm guard
     std::uint64_t seed = 0x9a7cc1e5u;     ///< common public randomness
     /// Execution backend; results are bit-identical across backends.
-    ExecutionBackend backend = ExecutionBackend::kPooled;
-    /// Pooled backend: cap on concurrent workers. Sharded backend: the
-    /// shard count — the node id space is cut into this many contiguous
-    /// owner-computes blocks (the worker team is min(shards, pool size)).
+    ExecutionBackend backend = ExecutionBackend::kSharded;
+    /// The shard count — the node id space is cut into this many
+    /// contiguous owner-computes blocks (the worker team is min(shards,
+    /// pool size); thread-per-node ignores it).
     /// 0 = one per shared-pool thread (pool_threads()). Values above n are
     /// rejected at run() entry (ModelViolation). A per-run choice: an
     /// EngineSession serves any value.
     std::size_t workers = 0;
-    /// Fiber backends: per-node fiber stack size (0 = 256 KiB). Nonzero
+    /// Fiber backend: per-node fiber stack size (0 = 256 KiB). Nonzero
     /// values below the 16 KiB switch-frame floor are rejected at run()
     /// entry (ModelViolation).
     std::size_t fiber_stack_bytes = 0;
@@ -269,7 +270,7 @@ class EngineSession {
   struct Shape {
     NodeId n = 0;
     unsigned bandwidth_multiplier = 1;
-    ExecutionBackend backend = ExecutionBackend::kPooled;
+    ExecutionBackend backend = ExecutionBackend::kSharded;
     std::size_t fiber_stack_bytes = 0;
 
     bool operator==(const Shape&) const = default;

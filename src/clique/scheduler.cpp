@@ -43,7 +43,7 @@
 #endif
 
 // glibc's swapcontext makes an rt_sigprocmask syscall per switch, which at
-// n = 512 nodes means ~1000 syscalls per superstep — it dominates the pooled
+// n = 512 nodes means ~1000 syscalls per superstep — it dominates the fiber
 // backend's cost. On x86-64 we switch stacks ourselves: save the System V
 // callee-saved registers (plus mxcsr / x87 control words) and flip rsp, no
 // syscall. TSan builds keep ucontext so the fiber annotations line up with
@@ -227,29 +227,30 @@ class ThreadPerNodeScheduler final : public Scheduler {
 };
 
 // ---------------------------------------------------------------------------
-// Fiber backends: node programs as stackful fibers over the shared pool.
+// Fiber backend: node programs as stackful fibers over the shared pool.
 //
-// Two backends share the machinery below. kPooled multiplexes all n fibers
-// over the worker team through a shared claim counter (dynamic balance);
-// kSharded assigns each worker a static set of contiguous node shards and
-// runs a plain id-ordered loop over them (owner-computes; no shared counter
-// on the resume path, and each worker allocates — first-touches — the
-// stacks it will keep resuming). Everything that decides results (the
-// serial leader phase, delivery, accounting) is identical, which is the
-// determinism argument: the backends differ only in who resumes a fiber,
-// never in what the leader observes.
+// Owner-computes (the libgalois/libdist pattern): the node id space is cut
+// into `shards` contiguous blocks handed to workers statically, and each
+// worker resumes its owned nodes with a plain id-ordered loop — no shared
+// claim counter, no cross-worker cache traffic on the resume path — and
+// creates those fibers itself on first resume, so the stacks a worker keeps
+// switching through are memory it allocated (first-touched) itself. Static
+// ownership gives up dynamic load balance for that locality; with n ≫ cores
+// per-shard imbalance averages out (bench_sharding measures it). Ownership
+// only decides which worker resumes a fiber, never what the serial leader
+// phase observes, which is the determinism argument.
 // ---------------------------------------------------------------------------
 
-/// Workers the fiber backends draw from. One process-wide pool sized by
+/// Workers the fiber backend draws from. One process-wide pool sized by
 /// hardware_concurrency: engine runs are frequent and short, so per-run
-/// thread creation would reintroduce exactly the overhead these backends
-/// remove.
+/// thread creation would reintroduce exactly the overhead this backend
+/// removes.
 ThreadPool& shared_pool() {
   static ThreadPool pool;
   return pool;
 }
 
-class FiberSchedulerBase;
+class FiberScheduler;
 
 struct Fiber {
 #ifdef CCQ_FAST_FIBER
@@ -260,7 +261,7 @@ struct Fiber {
   ucontext_t* resumer = nullptr;  // the worker context to yield back to
 #endif
   std::unique_ptr<char[]> stack;
-  FiberSchedulerBase* sched = nullptr;
+  FiberScheduler* sched = nullptr;
   NodeId id = 0;
   bool finished = false;
   // Rendezvous payload while parked at a collective.
@@ -292,12 +293,12 @@ void spin_pause(unsigned& spins) {
   }
 }
 
-class FiberSchedulerBase : public Scheduler {
+class FiberScheduler final : public Scheduler {
  public:
-  explicit FiberSchedulerBase(std::size_t stack_bytes)
+  explicit FiberScheduler(std::size_t stack_bytes)
       : stack_bytes_(stack_bytes == 0 ? kDefaultStackBytes : stack_bytes) {}
 
-  void run(NodeId n, std::size_t workers, const NodeBody& body) final {
+  void run(NodeId n, std::size_t shards, const NodeBody& body) override {
     n_ = n;
     body_ = &body;
     aborted_.store(false, std::memory_order_relaxed);
@@ -305,13 +306,13 @@ class FiberSchedulerBase : public Scheduler {
     error_ = nullptr;
     done_ = false;
 
-    // One slot per node; plan_run (pooled) or the owning worker's first
-    // resume phase (sharded) installs the fiber.
+    // One slot per node; the owning worker's first resume phase installs
+    // the fiber.
     destroy_fibers();
     fibers_.resize(n);
 
     ThreadPool& pool = shared_pool();
-    participants_ = plan_run(pool.size(), workers);
+    participants_ = plan_shards(pool.size(), shards);
     barrier_count_.store(0, std::memory_order_relaxed);
     barrier_sense_.store(false, std::memory_order_relaxed);
 
@@ -337,7 +338,7 @@ class FiberSchedulerBase : public Scheduler {
   // a CAS: a claim taken against a superseded epoch fails the CAS instead
   // of consuming an index — a stale helper can neither run a retired
   // ChunkFn nor steal a chunk from (or credit job_done_ of) the new job.
-  void leader_parallel_for(std::size_t chunks, const ChunkFn& fn) final {
+  void leader_parallel_for(std::size_t chunks, const ChunkFn& fn) override {
     count_job(chunks);
     if (chunks <= 1 || participants_ <= 1 || chunks > kTicketFieldMask) {
       for (std::size_t i = 0; i < chunks; ++i) fn(i);
@@ -362,7 +363,7 @@ class FiberSchedulerBase : public Scheduler {
   }
 
   void collective(NodeId id, OpTag tag, const Thunk& deposit,
-                  const Thunk& leader) final {
+                  const Thunk& leader) override {
     Fiber* f = tls_fiber;
     CCQ_CHECK_MSG(f != nullptr && f->sched == this && f->id == id,
                   "collective() called off its scheduler fiber");
@@ -377,26 +378,36 @@ class FiberSchedulerBase : public Scheduler {
     if (aborted_.load(std::memory_order_acquire)) throw Aborted{};
   }
 
- protected:
-  static constexpr std::size_t kDefaultStackBytes = 256 * 1024;
+  // Top of every fiber stack: run the node body, swallow Aborted (another
+  // node already recorded the error), record anything else, then yield for
+  // the last time. A finished fiber is never resumed, so control cannot
+  // fall off the end. Public so the fast-fiber first-activation shim
+  // (ccq_fiber_main) can reach it.
+  static void run_node(Fiber* f) {
+    FiberScheduler* sched = f->sched;
+    arrived_on_fiber(*f);
+    try {
+      (*sched->body_)(f->id);
+      sched->any_returned_.store(true, std::memory_order_relaxed);
+    } catch (Aborted&) {
+    } catch (...) {
+      sched->record_error(std::current_exception());
+    }
+    f->finished = true;
+    sched->yield_to_worker(*f);
+    std::abort();  // unreachable
+  }
 
-  // ---- backend hooks ------------------------------------------------------
-  // plan_run: serial (the caller's thread, before any worker starts) —
-  // size the worker team from the pool size and the run's `workers`, and
-  // build the backend's resume schedule; returns the team size (≥ 1).
-  // resume_phase: parallel — resume this worker's share of the unfinished
-  // fibers until each parks at a collective or finishes. end_superstep: serial (the barrier winner, after validation
-  // and the leader thunk) — rebuild the resume schedule for the next
-  // superstep.
-  virtual std::size_t plan_run(std::size_t pool_size,
-                               std::size_t workers) = 0;
-  virtual void resume_phase(std::size_t worker) = 0;
-  virtual void end_superstep() {}
-
-  NodeId n() const { return n_; }
-  Fiber* fiber(NodeId v) const { return fibers_[v].get(); }
+#ifndef CCQ_FAST_FIBER
+  static void trampoline(unsigned hi, unsigned lo) {
+    run_node(reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
+                                      static_cast<std::uintptr_t>(lo)));
+  }
+#endif
 
  private:
+  static constexpr std::size_t kDefaultStackBytes = 256 * 1024;
+
   // Job-ticket layout: [epoch:24 | chunks:20 | next:20]. 2^20 chunks is far
   // past any delivery fan-out (leader_parallel_for falls back to serial
   // beyond it), and `next` never exceeds `chunks` because claims stop once
@@ -409,25 +420,58 @@ class FiberSchedulerBase : public Scheduler {
   static constexpr std::uint64_t kTicketEpochMask =
       (std::uint64_t{1} << (64 - kTicketEpochShift)) - 1;
 
- protected:
-  // Builds node v's fiber and installs it in the run's fiber table. The
-  // pooled backend calls this serially from plan_run; the sharded backend
-  // calls it from the owning worker's first resume phase (distinct v ⇒
-  // distinct slots, and the superstep barrier orders the writes before the
-  // serial phase reads them), so each stack is allocated and first-touched
-  // by the worker that keeps resuming it.
+  // Serial (the caller's thread, before any worker starts): cuts [0, n)
+  // into contiguous shards and deals them to the worker team; returns the
+  // team size. Shard count: the run's, else one shard per pool thread;
+  // clamped so every shard is non-empty. The team never exceeds the shard
+  // count — a worker with no shard would only spin at the barrier.
+  std::size_t plan_shards(std::size_t pool_size, std::size_t shards) {
+    if (shards == 0) shards = pool_size;
+    shards = std::max<std::size_t>(1, std::min<std::size_t>(shards, n_));
+    const std::size_t workers =
+        std::max<std::size_t>(1, std::min(pool_size, shards));
+    owned_.assign(workers, {});
+    // Shard s owns the contiguous block [s·n/S, (s+1)·n/S) — balanced to
+    // ±1 node even when S does not divide n — and shards are dealt to
+    // workers round-robin so a team smaller than S still covers every
+    // node. Results cannot depend on any of this: ownership only decides
+    // which worker resumes a fiber, never what the serial phase computes.
+    for (std::size_t s = 0; s < shards; ++s) {
+      const NodeId b = static_cast<NodeId>(s * n_ / shards);
+      const NodeId e = static_cast<NodeId>((s + 1) * n_ / shards);
+      if (b < e) owned_[s % workers].push_back({b, e});
+    }
+    return workers;
+  }
+
+  // Parallel: resume this worker's unfinished owned fibers in id order
+  // until each parks at a collective or finishes.
+  void resume_phase(std::size_t worker) {
+    for (const auto& [b, e] : owned_[worker]) {
+      for (NodeId v = b; v < e; ++v) {
+        Fiber* f = fibers_[v].get();
+        if (f == nullptr) f = make_fiber(v);  // first superstep, owner-local
+        if (!f->finished) resume(*f);
+      }
+    }
+  }
+
+  // Builds node v's fiber and installs it in the run's fiber table. Called
+  // from the owning worker's first resume phase (distinct v ⇒ distinct
+  // slots, and the superstep barrier orders the writes before the serial
+  // phase reads them), so each stack is allocated and first-touched by the
+  // worker that keeps resuming it.
   Fiber* make_fiber(NodeId v) {
     auto f = std::make_unique<Fiber>();
     f->sched = this;
     f->id = v;
     // Recycle a banked stack from the previous run if one is available
     // (EngineSession reuse: at a fixed n the steady state allocates no
-    // stacks). The pool is mutex-guarded because the sharded backend calls
-    // make_fiber from its owning workers in parallel; all stacks in the
-    // pool were sized by this instance's fixed stack_bytes_, so any one
-    // fits. Default-initialised (not value-initialised) allocation so
-    // untouched stack pages stay lazily unmapped — 4096 fibers must not
-    // commit a gigabyte.
+    // stacks). The pool is mutex-guarded because the owning workers call
+    // make_fiber in parallel; all stacks in the pool were sized by this
+    // instance's fixed stack_bytes_, so any one fits. Default-initialised
+    // (not value-initialised) allocation so untouched stack pages stay
+    // lazily unmapped — 4096 fibers must not commit a gigabyte.
     {
       std::lock_guard<std::mutex> lk(stack_pool_mu_);
       if (!stack_pool_.empty()) {
@@ -478,7 +522,6 @@ class FiberSchedulerBase : public Scheduler {
     return fibers_[v].get();
   }
 
- private:
   void destroy_fibers() {
     // Bank the stacks for the next run (serial: called from run() entry and
     // exit only). The fiber bookkeeping itself is rebuilt per run — only
@@ -499,35 +542,6 @@ class FiberSchedulerBase : public Scheduler {
     fibers_.clear();
   }
 
- public:
-  // Top of every fiber stack: run the node body, swallow Aborted (another
-  // node already recorded the error), record anything else, then yield for
-  // the last time. A finished fiber is never resumed, so control cannot
-  // fall off the end. Public so the fast-fiber first-activation shim
-  // (ccq_fiber_main) can reach it.
-  static void run_node(Fiber* f) {
-    FiberSchedulerBase* sched = f->sched;
-    arrived_on_fiber(*f);
-    try {
-      (*sched->body_)(f->id);
-      sched->any_returned_.store(true, std::memory_order_relaxed);
-    } catch (Aborted&) {
-    } catch (...) {
-      sched->record_error(std::current_exception());
-    }
-    f->finished = true;
-    sched->yield_to_worker(*f);
-    std::abort();  // unreachable
-  }
-
-#ifndef CCQ_FAST_FIBER
-  static void trampoline(unsigned hi, unsigned lo) {
-    run_node(reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                      static_cast<std::uintptr_t>(lo)));
-  }
-#endif
-
- protected:
   void resume(Fiber& f) {
     CCQ_DCHECK(!f.finished);
     count_switch();
@@ -582,7 +596,6 @@ class FiberSchedulerBase : public Scheduler {
 #endif
   }
 
- private:
   // Claim and run chunks of the currently published leader job, if any.
   // Each claim is a CAS that advances the ticket's `next` field while
   // re-asserting the epoch (and chunk count) captured in the snapshot, so a
@@ -654,8 +667,7 @@ class FiberSchedulerBase : public Scheduler {
   }
 
   // Serial phase: every fiber has yielded, so plain accesses are safe (the
-  // barrier orders them). Validates the rendezvous, runs the leader, and
-  // lets the backend rebuild its resume schedule.
+  // barrier orders them). Validates the rendezvous and runs the leader.
   void superstep_end() {
     std::size_t parked = 0;
     for (const auto& f : fibers_) {
@@ -689,7 +701,6 @@ class FiberSchedulerBase : public Scheduler {
     }
     // Next superstep resumes every unfinished fiber — after an abort they
     // observe aborted_ and unwind with Aborted, draining the schedule.
-    end_superstep();
     done_ = parked == 0;
   }
 
@@ -700,9 +711,8 @@ class FiberSchedulerBase : public Scheduler {
 
   NodeId n_ = 0;
   const NodeBody* body_ = nullptr;
-  // One entry per node id; slots are filled by plan_run or (sharded) by the
-  // owning worker before the first barrier, so the serial phase always sees
-  // a complete table.
+  // One entry per node id; slots are filled by the owning worker before the
+  // first barrier, so the serial phase always sees a complete table.
   std::vector<std::unique_ptr<Fiber>> fibers_;
   bool done_ = false;  // written in the serial phase, read after release
 
@@ -724,98 +734,9 @@ class FiberSchedulerBase : public Scheduler {
   std::atomic<bool> any_returned_{false};
   std::mutex error_mu_;
   std::exception_ptr error_;
-};
-
-// Dynamic balance: all n fibers sit in one run list and workers claim them
-// through a shared counter, so a straggling node program cannot idle the
-// rest of the team. The price is one contended fetch_add per resume.
-class PooledScheduler final : public FiberSchedulerBase {
- public:
-  explicit PooledScheduler(std::size_t stack_bytes)
-      : FiberSchedulerBase(stack_bytes) {}
-
- private:
-  std::size_t plan_run(std::size_t pool_size, std::size_t cap) override {
-    run_list_.clear();
-    run_list_.reserve(n());
-    for (NodeId v = 0; v < n(); ++v) run_list_.push_back(make_fiber(v));
-    next_.store(0, std::memory_order_relaxed);
-    std::size_t workers = std::min<std::size_t>(pool_size, n());
-    if (cap > 0) workers = std::min(workers, cap);
-    return workers == 0 ? 1 : workers;
-  }
-
-  void resume_phase(std::size_t /*worker*/) override {
-    std::size_t i;
-    while ((i = next_.fetch_add(1, std::memory_order_relaxed)) <
-           run_list_.size()) {
-      resume(*run_list_[i]);
-    }
-  }
-
-  void end_superstep() override {
-    run_list_.clear();
-    for (NodeId v = 0; v < n(); ++v) {
-      Fiber* f = fiber(v);
-      if (!f->finished) run_list_.push_back(f);
-    }
-    next_.store(0, std::memory_order_relaxed);
-  }
-
-  std::vector<Fiber*> run_list_;  // mutated only in the serial phase
-  std::atomic<std::size_t> next_{0};
-};
-
-// Owner-computes (the libgalois/libdist pattern): the id space is cut into
-// `shards` contiguous blocks handed to workers statically, and each worker
-// resumes its owned nodes with a plain id-ordered loop — no shared claim
-// counter, no cross-worker cache traffic on the resume path, and fiber
-// stacks are created by their owner on first resume so the memory a worker
-// keeps switching through is memory it allocated itself. Static ownership
-// trades the pooled backend's load balance for that locality, which is the
-// right trade exactly when n ≫ cores: with hundreds of fibers per worker,
-// per-shard imbalance averages out (bench_sharding measures this).
-class ShardedScheduler final : public FiberSchedulerBase {
- public:
-  explicit ShardedScheduler(std::size_t stack_bytes)
-      : FiberSchedulerBase(stack_bytes) {}
-
- private:
-  std::size_t plan_run(std::size_t pool_size, std::size_t shards) override {
-    // Shard count: the run's, else one shard per pool thread; clamped so
-    // every shard is non-empty. The worker team never exceeds the shard
-    // count — a worker with no shard would only spin at the barrier.
-    if (shards == 0) shards = pool_size;
-    shards = std::max<std::size_t>(
-        1, std::min<std::size_t>(shards, n()));
-    const std::size_t workers =
-        std::max<std::size_t>(1, std::min(pool_size, shards));
-    owned_.assign(workers, {});
-    // Shard s owns the contiguous block [s·n/S, (s+1)·n/S) — balanced to
-    // ±1 node even when S does not divide n — and shards are dealt to
-    // workers round-robin so a team smaller than S still covers every
-    // node. Results cannot depend on any of this: ownership only decides
-    // which worker resumes a fiber, never what the serial phase computes.
-    for (std::size_t s = 0; s < shards; ++s) {
-      const NodeId b = static_cast<NodeId>(s * n() / shards);
-      const NodeId e = static_cast<NodeId>((s + 1) * n() / shards);
-      if (b < e) owned_[s % workers].push_back({b, e});
-    }
-    return workers;
-  }
-
-  void resume_phase(std::size_t worker) override {
-    for (const auto& [b, e] : owned_[worker]) {
-      for (NodeId v = b; v < e; ++v) {
-        Fiber* f = fiber(v);
-        if (f == nullptr) f = make_fiber(v);  // first superstep, owner-local
-        if (!f->finished) resume(*f);
-      }
-    }
-  }
 
   // Per-worker owned shards as [begin, end) node-id ranges; built in
-  // plan_run, read-only while workers run.
+  // plan_shards, read-only while workers run.
   std::vector<std::vector<std::pair<NodeId, NodeId>>> owned_;
 };
 
@@ -823,7 +744,7 @@ class ShardedScheduler final : public FiberSchedulerBase {
 
 #ifdef CCQ_FAST_FIBER
 extern "C" void ccq_fiber_main(void* fiber) {
-  FiberSchedulerBase::run_node(static_cast<Fiber*>(fiber));
+  FiberScheduler::run_node(static_cast<Fiber*>(fiber));
 }
 #endif
 
@@ -834,10 +755,8 @@ std::unique_ptr<Scheduler> make_scheduler(ExecutionBackend backend,
   switch (backend) {
     case ExecutionBackend::kThreadPerNode:
       return std::make_unique<ThreadPerNodeScheduler>();
-    case ExecutionBackend::kPooled:
-      return std::make_unique<PooledScheduler>(stack_bytes);
     case ExecutionBackend::kSharded:
-      return std::make_unique<ShardedScheduler>(stack_bytes);
+      return std::make_unique<FiberScheduler>(stack_bytes);
   }
   CCQ_CHECK_MSG(false, "unknown execution backend");
   return nullptr;

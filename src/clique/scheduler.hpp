@@ -5,33 +5,27 @@
 // The engine's unit of execution is the *superstep*: all n node programs
 // run until they meet at the next collective, a single serial "leader"
 // step validates the rendezvous and delivers messages, and everyone
-// resumes. Three backends realise this contract:
+// resumes. Two backends realise this contract:
+//
+//   * ExecutionBackend::kSharded — the default and the one production
+//     path: node programs run as cooperatively yielding stackful fibers
+//     over a worker team hosted on the shared ccq::ThreadPool. The node id
+//     space is cut into contiguous shards (the run's `workers` = shard
+//     count) owned statically by the workers; each worker resumes its
+//     owned nodes in id order — no shared claim counter on the resume
+//     path — and creates those fibers itself on first resume, so stacks
+//     are allocated (and first-touched) by the worker that runs them for
+//     the whole run. Workers meet at a sense-reversing spin barrier
+//     between the parallel (resume fibers) and serial (validate + deliver)
+//     phases of each superstep (DESIGN.md §7).
 //
 //   * ExecutionBackend::kThreadPerNode — the reference backend: one OS
 //     thread per simulated node, rendezvoused through a mutex + condition
 //     variable. Simple, but thread-creation and wakeup-storm overhead
 //     dominates wall-clock once n reaches the hierarchy-bench sizes.
 //
-//   * ExecutionBackend::kPooled — the default: node programs run as
-//     cooperatively yielding fibers (ucontext stackful contexts)
-//     multiplexed over a fixed worker team hosted on the shared
-//     ccq::ThreadPool; workers meet at a sense-reversing spin barrier
-//     between the parallel (resume fibers) and serial (validate +
-//     deliver) phases of each superstep. Workers claim fibers from a
-//     shared run list (one atomic fetch_add per resume), so load balance
-//     is dynamic but every resume touches a contended cache line.
-//
-//   * ExecutionBackend::kSharded — owner-computes for n ≫ cores: the node
-//     id space is split into contiguous shards (the run's `workers` = shard
-//     count) assigned statically to workers. Each worker drives a plain
-//     id-ordered loop over its owned nodes — no shared claim counter on
-//     the resume path — and creates its fibers itself on first resume, so
-//     stacks are allocated (and first-touched) by the worker that will
-//     run them for the whole run (DESIGN.md §12).
-//
-// All backends produce bit-for-bit identical RunResults (outputs, rounds,
-// messages, bits, per-node maxima) for any program and any worker or shard
-// count — asserted by tests/clique/scheduler_test.cpp and
+// Both backends produce bit-for-bit identical RunResults (outputs, rounds,
+// messages, bits, per-node maxima) for any program and any shard count — asserted by tests/clique/scheduler_test.cpp and
 // tests/clique/sharded_test.cpp. Message delivery and cost accounting
 // always happen in the serial leader step, iterating nodes in id order, so
 // scheduling order can never leak into results.
@@ -49,8 +43,7 @@ namespace ccq {
 /// Which execution backend Engine::run uses (Engine::Config::backend).
 enum class ExecutionBackend {
   kThreadPerNode,  ///< reference: one OS thread per simulated node
-  kPooled,         ///< default: fibers over a fixed worker pool
-  kSharded,        ///< owner-computes: static contiguous node shards
+  kSharded,        ///< default: fibers over static contiguous node shards
 };
 
 /// Occupancy counters a scheduler accumulates when stats are enabled
@@ -59,12 +52,12 @@ enum class ExecutionBackend {
 /// values are wall-clock/backend-shaped: they are *not* covered by the
 /// determinism contract.
 struct SchedulerStats {
-  std::uint64_t fiber_switches = 0;   ///< node-fiber resumes (fiber backends)
+  std::uint64_t fiber_switches = 0;   ///< node-fiber resumes (fiber backend)
   std::uint64_t parallel_jobs = 0;    ///< leader_parallel_for invocations
   std::uint64_t parallel_chunks = 0;  ///< chunks across those jobs
 };
 
-/// Threads in the process-wide pool the fiber backends draw their worker
+/// Threads in the process-wide pool the fiber backend draws its worker
 /// teams from: the largest team a run can get (Engine::Config::workers).
 std::size_t pool_threads();
 
@@ -89,10 +82,10 @@ struct OpTag {
 //   * run(n, workers, body) invokes body(v) exactly once for every v in
 //     [0, n) and returns once every body has unwound; the first captured
 //     error (a body exception, a leader exception, or a divergence
-//     ModelViolation) is rethrown. `workers` is a per-run choice: it caps
-//     the pooled worker team, or sets the sharded backend's shard count
-//     (0 = one per shared-pool thread; thread-per-node ignores it), so one
-//     scheduler serves any team size with identical results.
+//     ModelViolation) is rethrown. `workers` is a per-run choice: the
+//     fiber backend's shard count (0 = one per shared-pool thread; the
+//     team is min(pool, shards); thread-per-node ignores it), so one
+//     scheduler serves any shard count with identical results.
 //   * collective(id, tag, deposit, leader) may only be called from inside
 //     body(id). deposit() runs immediately and may touch only node-owned
 //     slots. Once all n nodes have arrived with equal tags, leader() runs
@@ -115,7 +108,7 @@ class Scheduler {
                           const Thunk& leader) = 0;
 
   // Run fn(chunk) for every chunk in [0, chunks), possibly in parallel.
-  // May only be called from inside a leader() thunk: the pooled backend
+  // May only be called from inside a leader() thunk: the fiber backend
   // hands chunks to the workers spinning at the superstep barrier, so the
   // serial phase scales with cores instead of running leader-only. Each
   // chunk must write only chunk-owned data (the message plane partitions
@@ -170,7 +163,7 @@ class Scheduler {
 std::unique_ptr<Scheduler> make_scheduler(ExecutionBackend backend,
                                           std::size_t stack_bytes);
 
-/// True when the calling thread is currently executing a pooled-scheduler
+/// True when the calling thread is currently executing a fiber-scheduler
 /// fiber. Engine::run uses this to route nested runs (a node program that
 /// itself simulates a clique) to the thread-per-node backend instead of
 /// deadlocking the shared worker pool.

@@ -81,14 +81,17 @@ void check_plane(const JsonValue& v, const std::string& origin) {
   fail_at(origin, v.line, "unknown plane '" + s + "' (accepted: flat)");
 }
 
+// "pooled" named a fiber scheduler that has been folded into the sharded
+// one; it stays accepted so existing manifests and job frames keep parsing,
+// and selects the same backend (and so the same cell id) as "sharded".
 ExecutionBackend parse_backend(const JsonValue& v,
                                const std::string& origin) {
   const std::string s = as_string(v, "backend", origin);
-  if (s == "pooled") return ExecutionBackend::kPooled;
-  if (s == "sharded") return ExecutionBackend::kSharded;
+  if (s == "sharded" || s == "pooled") return ExecutionBackend::kSharded;
   if (s == "threaded") return ExecutionBackend::kThreadPerNode;
   fail_at(origin, v.line,
-          "unknown backend '" + s + "' (accepted: pooled, sharded, threaded)");
+          "unknown backend '" + s +
+              "' (accepted: sharded, threaded; pooled is an alias of sharded)");
 }
 
 std::string read_file(const std::string& path) {
@@ -106,11 +109,7 @@ std::string read_file(const std::string& path) {
 }  // namespace
 
 const char* backend_name(ExecutionBackend b) {
-  switch (b) {
-    case ExecutionBackend::kPooled: return "pooled";
-    case ExecutionBackend::kSharded: return "sharded";
-    default: return "threaded";
-  }
+  return b == ExecutionBackend::kSharded ? "sharded" : "threaded";
 }
 
 std::string CellSpec::id() const {
@@ -222,7 +221,7 @@ void expand_cell_group(const JsonValue& group, const std::string& origin,
         c.n = static_cast<NodeId>(as_uint(*nn, 1, 8192, "n", origin));
         std::vector<ExecutionBackend> be;
         if (backends.empty()) {
-          be.push_back(ExecutionBackend::kPooled);
+          be.push_back(ExecutionBackend::kSharded);
         } else {
           for (const JsonValue* bv : backends)
             be.push_back(parse_backend(*bv, origin));

@@ -33,7 +33,7 @@ struct CellSpec {
   std::string algorithm;  ///< sweep registry key (harness/sweep.hpp)
   corpus::FamilySpec family;
   NodeId n = 64;
-  ExecutionBackend backend = ExecutionBackend::kPooled;
+  ExecutionBackend backend = ExecutionBackend::kSharded;
   bool chaos = false;
   // Default fault profile is flip+drop only: both preserve word counts, so
   // any algorithm survives them structurally (corruption stays semantic).

@@ -352,7 +352,7 @@ Report run_case(const Case& c, NodeId n, unsigned trials,
     }
 
     Engine::Config cfg;
-    cfg.backend = t % 2 == 0 ? ExecutionBackend::kPooled
+    cfg.backend = t % 2 == 0 ? ExecutionBackend::kSharded
                              : ExecutionBackend::kThreadPerNode;
 
     // Clean: the honest certificate must be accepted.

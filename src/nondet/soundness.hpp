@@ -80,7 +80,7 @@ struct Report {
 };
 
 /// Run one case for `trials` seeded trials at size n. Trial t runs on the
-/// pooled backend when t is even and thread-per-node when odd, reuses each
+/// sharded fiber backend when t is even and thread-per-node when odd, reuses each
 /// prepared instance for a few consecutive trials (fresh corruption every
 /// trial), and derives the corrupted node / bit / byzantine fault stream
 /// from (seed, t) alone — a failing trial replays from two integers.

@@ -84,26 +84,6 @@ TEST(MM, MinPlusHandlesInfinity) {
   EXPECT_EQ(sq.at(1, 0), inf);
 }
 
-TEST(MM, BlockedMatchesNaive) {
-  SplitMix64 rng(9);
-  for (std::size_t n : {1u, 5u, 17u, 33u, 50u}) {
-    auto a = random_matrix<I64Ring>(n, rng.next(), 1000);
-    auto b = random_matrix<I64Ring>(n, rng.next(), 1000);
-    EXPECT_EQ(mm_blocked<I64Ring>(a, b, 8), mm_naive<I64Ring>(a, b)) << n;
-  }
-}
-
-TEST(MM, BlockedMatchesNaiveOnSemirings) {
-  auto a = random_matrix<MinPlusSemiring>(20, 3, 50);
-  auto b = random_matrix<MinPlusSemiring>(20, 4, 50);
-  EXPECT_EQ(mm_blocked<MinPlusSemiring>(a, b, 7),
-            mm_naive<MinPlusSemiring>(a, b));
-  auto ba = random_matrix<BoolSemiring>(20, 5, 2);
-  auto bb = random_matrix<BoolSemiring>(20, 6, 2);
-  EXPECT_EQ(mm_blocked<BoolSemiring>(ba, bb, 7),
-            mm_naive<BoolSemiring>(ba, bb));
-}
-
 TEST(MM, StrassenMatchesNaive) {
   SplitMix64 rng(11);
   for (std::size_t n : {1u, 2u, 7u, 16u, 31u, 64u, 70u}) {

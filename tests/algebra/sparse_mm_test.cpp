@@ -250,8 +250,7 @@ TEST(SparseMM, DeterministicAcrossPlanesBackendsWorkers) {
   };
   std::deque<Obs> obs;
   for (ExecutionBackend backend :
-       {ExecutionBackend::kPooled, ExecutionBackend::kSharded,
-        ExecutionBackend::kThreadPerNode}) {
+       {ExecutionBackend::kSharded, ExecutionBackend::kThreadPerNode}) {
     for (std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
       Obs& o = obs.emplace_back();
       Engine::Config ecfg;

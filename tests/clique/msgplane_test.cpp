@@ -28,14 +28,13 @@ namespace {
 
 struct BackendSetup {
   ExecutionBackend backend;
-  std::size_t workers;  // pooled: worker cap; sharded: shard count; 0 = hw
+  std::size_t workers;  // shard count; 0 = hw
   const char* name;
 };
 
 const BackendSetup kSetups[] = {
     {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
-    {ExecutionBackend::kPooled, 2, "pooled-2"},
-    {ExecutionBackend::kPooled, 0, "pooled-hw"},
+    {ExecutionBackend::kSharded, 2, "sharded-2"},
     {ExecutionBackend::kSharded, 5, "sharded-5"},  // non-dividing shards
     {ExecutionBackend::kSharded, 0, "sharded-hw"},
 };
@@ -511,7 +510,7 @@ TEST(MsgPlaneFlat, ArenaViewSurvivesUntilNextCollectiveOnly) {
   // A node may lag behind the others by one collective while still reading
   // its spans: nodes deposit for collective k+1 while a straggler reads
   // collective k. The double-buffered histogram makes this safe; this test
-  // stresses it with per-node skewed local work on the pooled backend.
+  // stresses it with per-node skewed local work on the default backend.
   const Graph g = gen::empty(32);
   auto run = Engine::run(
       g,
@@ -526,7 +525,7 @@ TEST(MsgPlaneFlat, ArenaViewSurvivesUntilNextCollectiveOnly) {
           const FlatInbox in = ctx.exchange_flat(sends);
           // Skewed local work: high-id nodes linger on their spans longer.
           volatile std::uint64_t sink = 0;
-          for (NodeId i = 0; i < ctx.id() * 50; ++i) sink += i;
+          for (NodeId i = 0; i < ctx.id() * 50; ++i) sink = sink + i;
           for (NodeId src = 0; src < n; ++src) {
             for (const Word& w : in.from(src)) acc += w.value;
           }

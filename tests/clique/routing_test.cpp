@@ -336,7 +336,6 @@ TEST(RouteBalanced, OrderAndMetersMatchStableSortFormulation) {
   };
   const std::pair<ExecutionBackend, const char*> backends[] = {
       {ExecutionBackend::kThreadPerNode, "thread-per-node"},
-      {ExecutionBackend::kPooled, "pooled"},
       {ExecutionBackend::kSharded, "sharded"},
   };
   for (const NodeId n : {1u, 2u, 3u, 37u, 128u, 256u}) {

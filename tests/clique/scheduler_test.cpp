@@ -1,7 +1,7 @@
 // Determinism regression suite for the execution backends.
 //
 // The scheduler contract (clique/scheduler.hpp) promises bit-for-bit
-// identical RunResults across backends and worker counts. These tests pin
+// identical RunResults across backends and shard counts. These tests pin
 // that down over a fixed mix of collectives (round / exchange / broadcast /
 // share_bit / any / all / route_balanced / route_blocks), and lock in the
 // abort/unwind behaviour when a node throws mid-collective.
@@ -24,15 +24,12 @@ namespace {
 
 struct BackendSetup {
   ExecutionBackend backend;
-  std::size_t workers;  // pooled: worker cap; sharded: shard count; 0 = hw
+  std::size_t workers;  // shard count; 0 = hw
   const char* name;
 };
 
 const BackendSetup kSetups[] = {
     {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
-    {ExecutionBackend::kPooled, 1, "pooled/1"},
-    {ExecutionBackend::kPooled, 2, "pooled/2"},
-    {ExecutionBackend::kPooled, 0, "pooled/hw"},
     {ExecutionBackend::kSharded, 1, "sharded/1"},
     {ExecutionBackend::kSharded, 2, "sharded/2"},
     {ExecutionBackend::kSharded, 5, "sharded/5"},  // non-dividing shard count
@@ -130,43 +127,34 @@ TEST(SchedulerDeterminism, IdenticalResultsAcrossBackendsAndWorkerCounts) {
   }
 }
 
+// "Pooled" in the names below is the default fiber backend: kSharded, which
+// manifests and job frames still select under the alias "pooled".
 TEST(SchedulerDeterminism, RepeatedPooledRunsAreIdentical) {
   const Graph g = gen::gnp(17, 0.4, 5);
-  Engine::Config cfg;
-  cfg.backend = ExecutionBackend::kPooled;
-  const auto r1 = Engine::run(g, mixed_program, cfg);
-  const auto r2 = Engine::run(g, mixed_program, cfg);
-  expect_same_result(r1, r2, "pooled repeat");
+  const auto r1 = Engine::run(g, mixed_program);
+  const auto r2 = Engine::run(g, mixed_program);
+  expect_same_result(r1, r2, "default-backend repeat");
 }
 
 TEST(SchedulerDeterminism, WorkerCapBeyondPoolSizeIsClamped) {
   // workers may legally exceed the machine's pool size (just not n — that
   // is rejected at run() entry); the scheduler must clamp, not deadlock.
   const Graph g = gen::gnp(64, 0.5, 3);
-  for (ExecutionBackend backend :
-       {ExecutionBackend::kPooled, ExecutionBackend::kSharded}) {
-    Engine::Config cfg;
-    cfg.backend = backend;
-    cfg.workers = 64;  // == n, far beyond any pool on CI hardware
-    const auto ref = Engine::run(g, mixed_program);
-    expect_same_result(ref, Engine::run(g, mixed_program, cfg), "clamped");
-  }
+  Engine::Config cfg;
+  cfg.workers = 64;  // == n, far beyond any pool on CI hardware
+  const auto ref = Engine::run(g, mixed_program);
+  expect_same_result(ref, Engine::run(g, mixed_program, cfg), "clamped");
 }
 
 TEST(SchedulerDeterminism, ManyNodesOnPooledBackend) {
   // Exercise fiber multiplexing well past the worker count.
   const Graph g = gen::empty(300);
-  Engine::Config cfg;
-  cfg.backend = ExecutionBackend::kPooled;
-  auto r = Engine::run(
-      g,
-      [](NodeCtx& ctx) {
-        auto bits = ctx.share_bit(ctx.id() % 3 == 0);
-        std::uint64_t count = 0;
-        for (bool b : bits) count += b ? 1 : 0;
-        ctx.output(count);
-      },
-      cfg);
+  auto r = Engine::run(g, [](NodeCtx& ctx) {
+    auto bits = ctx.share_bit(ctx.id() % 3 == 0);
+    std::uint64_t count = 0;
+    for (bool b : bits) count += b ? 1 : 0;
+    ctx.output(count);
+  });
   EXPECT_EQ(r.outputs[0], 100u);
   EXPECT_EQ(r.cost.rounds, 1u);
 }
@@ -280,7 +268,6 @@ TEST(SchedulerAbort, ChaosCorruptedCollectiveUnwindsCleanly) {
 TEST(SchedulerAbort, RoundLimitEnforcedOnPooledBackend) {
   const Graph g = gen::empty(2);
   Engine::Config cfg;
-  cfg.backend = ExecutionBackend::kPooled;
   cfg.max_rounds = 10;
   EXPECT_THROW(Engine::run(
                    g,

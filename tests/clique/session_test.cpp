@@ -46,10 +46,18 @@ struct RunArtifacts {
   std::uint64_t faults = 0;
 };
 
+ChaosPlan::Config chaos_config() {
+  ChaosPlan::Config c;
+  c.seed = 77;
+  c.p_flip = 0.02;
+  c.p_dup = 0.01;
+  return c;
+}
+
 RunArtifacts run_fresh(const Graph& g, Engine::Config cfg, bool chaos) {
   RoundTrace trace;
   cfg.trace = &trace;
-  ChaosPlan plan(ChaosPlan::Config{.seed = 77, .p_flip = 0.02, .p_dup = 0.01});
+  ChaosPlan plan(chaos_config());
   cfg.chaos = chaos ? &plan : nullptr;
   RunArtifacts a;
   a.result = Engine::run(g, traffic_program, cfg);
@@ -62,7 +70,7 @@ RunArtifacts run_warm(EngineSession& session, const Graph& g,
                       Engine::Config cfg, bool chaos) {
   RoundTrace trace;
   cfg.trace = &trace;
-  ChaosPlan plan(ChaosPlan::Config{.seed = 77, .p_flip = 0.02, .p_dup = 0.01});
+  ChaosPlan plan(chaos_config());
   cfg.chaos = chaos ? &plan : nullptr;
   RunArtifacts a;
   a.result = session.run(Instance::of(g), traffic_program, cfg);
@@ -92,8 +100,7 @@ EngineSession::Shape shape_for(NodeId n, const Engine::Config& cfg) {
 TEST(EngineSession, BitIdenticalToEngineRunAcrossPlanesAndBackends) {
   const Graph g = gen::gnp(24, 0.3, 42);
   for (const auto backend :
-       {ExecutionBackend::kPooled, ExecutionBackend::kSharded,
-        ExecutionBackend::kThreadPerNode})
+       {ExecutionBackend::kSharded, ExecutionBackend::kThreadPerNode})
     for (const bool chaos : {false, true}) {
       Engine::Config cfg;
       cfg.backend = backend;
@@ -138,25 +145,20 @@ TEST(EngineSession, PerRunParametersVaryFreelyWithinOneShape) {
 }
 
 TEST(EngineSession, TeamSizeVariesPerRunOnOneSession) {
-  // The worker team (pooled cap / sharded shard count) is a per-run choice:
-  // one warm session runs teams of 1, 2, 3 and "whole pool" back to back,
-  // each bit-identical to a fresh Engine::run with that team.
+  // The shard count (and so the worker team) is a per-run choice: one warm
+  // session runs 1, 2, 3 and "one per pool thread" shards back to back,
+  // each bit-identical to a fresh Engine::run with that shard count.
   const Graph g = gen::gnp(24, 0.3, 42);
-  for (const auto backend :
-       {ExecutionBackend::kPooled, ExecutionBackend::kSharded}) {
-    Engine::Config cfg;
-    cfg.backend = backend;
-    EngineSession session(shape_for(24, cfg));
-    for (const std::size_t workers : {1, 2, 3, 0}) {
-      cfg.workers = workers;
-      const std::string what = std::string(harness::backend_name(backend)) +
-                               " workers=" + std::to_string(workers);
-      const RunArtifacts fresh = run_fresh(g, cfg, /*chaos=*/false);
-      const RunArtifacts warm = run_warm(session, g, cfg, /*chaos=*/false);
-      expect_identical(fresh, warm, what.c_str());
-    }
-    EXPECT_EQ(session.runs_completed(), 4u);
+  Engine::Config cfg;
+  EngineSession session(shape_for(24, cfg));
+  for (const std::size_t workers : {1, 2, 3, 0}) {
+    cfg.workers = workers;
+    const std::string what = "shards=" + std::to_string(workers);
+    const RunArtifacts fresh = run_fresh(g, cfg, /*chaos=*/false);
+    const RunArtifacts warm = run_warm(session, g, cfg, /*chaos=*/false);
+    expect_identical(fresh, warm, what.c_str());
   }
+  EXPECT_EQ(session.runs_completed(), 4u);
 }
 
 TEST(EngineSession, ShapeMismatchedConfigThrows) {
@@ -170,7 +172,7 @@ TEST(EngineSession, ShapeMismatchedConfigThrows) {
   EXPECT_THROW(session.run(Instance::of(g), traffic_program, wrong),
                ModelViolation);
   wrong = cfg;
-  wrong.backend = ExecutionBackend::kSharded;
+  wrong.backend = ExecutionBackend::kThreadPerNode;
   EXPECT_THROW(session.run(Instance::of(g), traffic_program, wrong),
                ModelViolation);
   wrong = cfg;

@@ -1,15 +1,15 @@
-// The sharded owner-computes backend (ExecutionBackend::kSharded).
+// The sharded owner-computes backend (ExecutionBackend::kSharded), the
+// engine's fiber scheduler.
 //
-// kSharded exists for n ≫ cores: the node id space is cut into contiguous
-// shards, each pool worker owns a fixed set of shards, and the per-node
-// resume loop is a plain id-ordered walk with no shared work-stealing
-// counter (DESIGN.md §12). None of that may be observable: this suite pins
-// bit-for-bit result equality against both fiber-pool and thread-per-node
-// references across shard counts (dividing and not), degenerate clique
-// sizes around the worker count, abort/unwind mid-round, and composition
-// with the trace and chaos layers. It also holds the engine-config
-// boundary: the n cap that the sharded backend raised, and workers > n
-// rejection.
+// The node id space is cut into contiguous shards, each pool worker owns a
+// fixed set of shards, and the per-node resume loop is a plain id-ordered
+// walk with no shared claim counter (DESIGN.md §7). None of that may be
+// observable: this suite pins bit-for-bit result equality against the
+// default configuration and the thread-per-node reference across shard
+// counts (dividing and not), degenerate clique sizes around the worker
+// count, abort/unwind mid-round, and composition with the trace and chaos
+// layers. It also holds the engine-config boundary: the n cap that the
+// sharded backend raised, and workers > n rejection.
 
 #include <gtest/gtest.h>
 
@@ -109,9 +109,7 @@ TEST(ShardedDeterminism, BitForBitAcrossShardCounts) {
   const auto ref = Engine::run(g, mixed_program, tpn);
   EXPECT_GT(ref.cost.rounds, 0u);
 
-  Engine::Config pooled;
-  pooled.backend = ExecutionBackend::kPooled;
-  expect_same_result(ref, Engine::run(g, mixed_program, pooled), "pooled");
+  expect_same_result(ref, Engine::run(g, mixed_program), "default");
 
   // Dividing (1, 2, 13), non-dividing (3, 5), over-subscribed (26 = n,
   // one node per shard) and hardware-default (0) shard counts.
@@ -141,16 +139,8 @@ TEST(ShardedDeterminism, DegenerateCliqueSizes) {
     tpn.backend = ExecutionBackend::kThreadPerNode;
     const auto ref = Engine::run(g, mixed_program, tpn);
     const std::size_t workers = std::min<std::size_t>(4, n);
-    for (ExecutionBackend backend :
-         {ExecutionBackend::kPooled, ExecutionBackend::kSharded}) {
-      Engine::Config cfg;
-      cfg.backend = backend;
-      cfg.workers = workers;
-      const std::string name =
-          (backend == ExecutionBackend::kPooled ? "pooled" : "sharded") +
-          std::string("/n=") + std::to_string(n);
-      expect_same_result(ref, Engine::run(g, mixed_program, cfg), name);
-    }
+    expect_same_result(ref, Engine::run(g, mixed_program, sharded(workers)),
+                       "sharded/n=" + std::to_string(n));
     // Non-dividing shard count whenever one exists below n.
     if (n >= 3) {
       expect_same_result(
@@ -212,13 +202,14 @@ TEST(ShardedAbort, DivergentCollectivesDetected) {
 
 // ---- composition with trace and chaos ------------------------------------
 
+// "Pooled" is the manifest alias of the default fiber backend, so the
+// reference here is the default configuration (one shard per pool thread).
 TEST(ShardedTrace, LedgerIdenticalToPooledBackend) {
   const Graph g = gen::gnp(15, 0.5, 23);
   RoundTrace ref_trace;
-  Engine::Config pooled;
-  pooled.backend = ExecutionBackend::kPooled;
-  pooled.trace = &ref_trace;
-  const auto ref = Engine::run(g, mixed_program, pooled);
+  Engine::Config ref_cfg;
+  ref_cfg.trace = &ref_trace;
+  const auto ref = Engine::run(g, mixed_program, ref_cfg);
   ASSERT_FALSE(ref_trace.records().empty());
   ASSERT_TRUE(ref_trace.totals_match());
 
@@ -259,9 +250,7 @@ TEST(ShardedChaos, FaultScheduleIndependentOfSharding) {
   ccfg.p_dup = 0.2;
 
   ChaosPlan ref_plan(ccfg);
-  Engine::Config pooled;
-  pooled.backend = ExecutionBackend::kPooled;
-  const auto ref = run_with(pooled, ref_plan);
+  const auto ref = run_with(Engine::Config{}, ref_plan);
   ASSERT_GT(ref_plan.total_faults(), 0u);
 
   ChaosPlan plan(ccfg);

@@ -3,7 +3,7 @@
 // Pins the three contracts the trace header promises:
 //   * determinism — every cost-side record field (and every span) is a pure
 //     function of the program and instance, identical across
-//     {kPooled,kSharded,kThreadPerNode} backends × worker counts, asserted
+//     {kSharded,kThreadPerNode} backends × shard counts, asserted
 //     on randomised traffic with nested spans;
 //   * ledger exactness — per-record rounds/messages/bits sum to the
 //     CostMeter totals, per-phase totals partition them, and the plane's
@@ -34,14 +34,13 @@ namespace {
 
 struct TraceSetup {
   ExecutionBackend backend;
-  std::size_t workers;  // pooled: worker cap; sharded: shard count; 0 = hw
+  std::size_t workers;  // shard count; 0 = hw
   const char* name;
 };
 
 const TraceSetup kSetups[] = {
     {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
-    {ExecutionBackend::kPooled, 2, "pooled-2"},
-    {ExecutionBackend::kPooled, 0, "pooled-hw"},
+    {ExecutionBackend::kSharded, 2, "sharded-2"},
     {ExecutionBackend::kSharded, 0, "sharded-hw"},
     {ExecutionBackend::kSharded, 3,
      "sharded-3"},  // non-dividing shard count for n in {5, 26}
@@ -321,7 +320,7 @@ TEST(TraceLifecycle, SpansUnwindAndCloseOnModelViolation) {
 
     // Every node deposited in collective 0, so every node opened "outer";
     // whether a node also reached the "doomed" push before the abort killed
-    // it is backend-dependent (a parked pooled fiber is aborted inside the
+    // it is backend-dependent (a parked fiber is aborted inside the
     // first rendezvous and never returns to the program body). What IS
     // guaranteed: no span dangles, everything closes at the abort
     // coordinates (1 committed collective / 1 committed round), and the
@@ -382,7 +381,7 @@ TEST(TraceLifecycle, NestedRunsFallBackToUntraced) {
   RoundTrace trace;
   trace::set_global(&trace);
   // Thread-per-node outer backend: each node runs on a full OS thread, so
-  // the nested Engine::run below executes on a regular stack (a pooled
+  // the nested Engine::run below executes on a regular stack (a
   // fiber stack is not sized for a whole nested engine).
   Engine::Config cfg;
   cfg.backend = ExecutionBackend::kThreadPerNode;

@@ -252,7 +252,12 @@ TEST(Corpus, ManifestAxisExpansion) {
   EXPECT_EQ(m.trials, 3);
   EXPECT_EQ(m.cells.size(), 8u);  // 2 algos x 2 n x 2 chaos
   std::vector<std::string> ids;
-  for (const auto& c : m.cells) ids.push_back(c.id());
+  for (const auto& c : m.cells) {
+    // "pooled" is an alias: it selects the sharded backend and its id.
+    EXPECT_EQ(c.backend, ExecutionBackend::kSharded) << c.id();
+    EXPECT_NE(c.id().find("/sharded/"), std::string::npos) << c.id();
+    ids.push_back(c.id());
+  }
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
 }
@@ -282,6 +287,9 @@ TEST(Corpus, ManifestRejectionTable) {
           {"algorithm": "routing_direct", "family": "gnp", "n": 16}]})",
       // ^ duplicate expanded cell id
       R"({"name": "x", "cells": [{"algorithm": "routing_direct",
+          "family": "gnp", "n": 16, "backend": ["pooled", "sharded"]}]})",
+      // ^ duplicate expanded cell id: "pooled" is an alias of "sharded"
+      R"({"name": "x", "cells": [{"algorithm": "routing_direct",
           "family": "gnp", "n": 16,)",                      // truncated JSON
   };
   for (const char* text : kBad) {
@@ -296,6 +304,18 @@ TEST(Corpus, ManifestRejectionTable) {
     ADD_FAILURE() << "accepted plane 'legacy'";
   } catch (const ModelViolation& e) {
     EXPECT_NE(std::string(e.what()).find("plane 'legacy' was removed"),
+              std::string::npos)
+        << e.what();
+  }
+  // The alias pair fails as a duplicate cell, not as an unknown backend.
+  try {
+    harness::parse_manifest(R"({"name": "x", "cells": [{"algorithm":
+        "routing_direct", "family": "gnp", "n": 16,
+        "backend": ["pooled", "sharded"]}]})",
+                            "table");
+    ADD_FAILURE() << "accepted backends 'pooled' and 'sharded' together";
+  } catch (const ModelViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate expanded cell id"),
               std::string::npos)
         << e.what();
   }
@@ -337,13 +357,8 @@ TEST(Corpus, CellDeterministicAcrossWorkerCounts) {
   spec.family.name = "gnp";
   spec.family.p = 0.2;
   spec.n = 27;  // perfect cube: exercises the 3D grid path
-  for (ExecutionBackend backend :
-       {ExecutionBackend::kPooled, ExecutionBackend::kSharded}) {
-    spec.backend = backend;
-    spec.family.seed = spec.seed = 3;
-    EXPECT_EQ(harness::check_worker_determinism(spec), "")
-        << harness::backend_name(backend);
-  }
+  spec.family.seed = spec.seed = 3;
+  EXPECT_EQ(harness::check_worker_determinism(spec), "");
 }
 
 }  // namespace

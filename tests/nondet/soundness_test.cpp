@@ -45,8 +45,8 @@ struct ChaosSetup {
 
 const ChaosSetup kSetups[] = {
     {ExecutionBackend::kThreadPerNode, 0, "thread-per-node"},
-    {ExecutionBackend::kPooled, 2, "pooled-2"},
-    {ExecutionBackend::kPooled, 0, "pooled-hw"},
+    {ExecutionBackend::kSharded, 2, "sharded-2"},
+    {ExecutionBackend::kSharded, 0, "sharded-hw"},
 };
 
 Engine::Config config_for(const ChaosSetup& s, ChaosPlan* plan) {

@@ -449,6 +449,22 @@ TEST(Jobs, DaemonResultEqualsLibraryPath) {
   EXPECT_EQ(cold.output_fp, warm.output_fp);
   EXPECT_EQ(cold.ledger_fp, warm.ledger_fp);
 
+  // kGoodJob says "pooled", an alias of "sharded": the job spelled
+  // "sharded" is the same cell, hits the session the runs above left warm,
+  // and measures the identical bits.
+  std::string sharded_job = kGoodJob;
+  const std::string alias = "\"pooled\"";
+  sharded_job.replace(sharded_job.find(alias), alias.size(), "\"sharded\"");
+  const harness::CellSpec sharded =
+      harness::parse_job_cell(json::parse(sharded_job, "job"), "job");
+  EXPECT_EQ(sharded.id(), spec.id());
+  EXPECT_NE(spec.id().find("/sharded/"), std::string::npos) << spec.id();
+  const JobResult same = run_job(sharded, /*trials=*/2, &cache);
+  ASSERT_TRUE(same.ok) << same.fail_reason;
+  EXPECT_TRUE(same.warm);
+  EXPECT_EQ(same.output_fp, cold.output_fp);
+  EXPECT_EQ(same.ledger_fp, cold.ledger_fp);
+
   // Library path: fresh Engine::run with the identical cell config.
   const Graph g = corpus::make_family(spec.family, spec.n);
   Engine::Config cfg = harness::cell_engine_config(spec);
