@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nFigure 1 arrows (δ(to) ≤ δ(from)):\n");
   auto edges = figure1_edges();
-  auto violated = check_measured_edges(edges, estimates, 0.35);
+  const double tolerance = 0.35;
+  auto violated = check_measured_edges(edges, estimates, tolerance);
   Table tb({"to", "from", "source", "status"});
   auto is_violated = [&](const Figure1Edge& e) {
     for (const auto& v : violated)
@@ -75,12 +76,19 @@ int main(int argc, char** argv) {
     tb.add_row({e.to, e.from, e.source, status});
   }
   tb.print();
-  std::printf(
-      "\nShape check: all measured arrows hold within tolerance; the "
-      "ordering of the map —\nexponent-0 parameterised problems < "
-      "detection/MM problems < learn-everything\nproblems — matches Figure "
-      "1. Absolute exponents carry a log-factor drag at these n\n(B = "
-      "⌈log₂n⌉ grows too), which inflates slopes toward the upper bounds.\n");
+  if (!violated.empty()) {
+    std::printf("\nShape check FAILED: %zu measured arrow%s VIOLATED beyond "
+                "the %.2f tolerance.\n",
+                violated.size(), violated.size() == 1 ? "" : "s", tolerance);
+  } else {
+    std::printf(
+        "\nShape check: all measured arrows hold within tolerance; the "
+        "ordering of the map —\nexponent-0 parameterised problems < "
+        "detection/MM problems < learn-everything\nproblems — matches "
+        "Figure 1. Absolute exponents carry a log-factor drag at these "
+        "n\n(B = ⌈log₂n⌉ grows too), which inflates slopes toward the upper "
+        "bounds.\n");
+  }
   if (!ccq_trace_session.finish(nullptr)) return 1;
-  return 0;
+  return violated.empty() ? 0 : 1;
 }

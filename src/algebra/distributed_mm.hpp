@@ -208,6 +208,148 @@ std::vector<typename S::Value> unpack_entries(const BitVector& bv,
   return out;
 }
 
+// ---- fused entry <-> word codec -------------------------------------------
+//
+// The dense MM schedules ship every slice as B-bit message words. The
+// two-step form (pack_entries + encode_bits, decode_words + unpack_entries)
+// materialises a BitVector and a value vector per slice and appends or
+// reads it one word at a time; pack_words/unpack_words stream entries
+// straight to words and back. Entries move in 64-bit chunks of ⌊64/w⌋
+// entries through one 128-bit accumulator, so the accumulator work is per
+// chunk and per word, not per entry (64 Boolean entries share one chunk).
+// The word stream is identical to the two-step form (tests/algebra/
+// distributed_mm_test.cpp checks it word for word), so every meter is too.
+
+namespace codec_detail {
+__extension__ typedef unsigned __int128 u128;
+
+inline std::uint64_t low_mask(unsigned bits) {
+  return bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+}
+
+/// Packs take ≤ ⌊64/entry_bits⌋ entries into one word, entry e at bit
+/// e·entry_bits, with encode_value<S>'s range check.
+template <Semiring S>
+std::uint64_t pack_chunk(const typename S::Value* v, std::size_t take,
+                         unsigned entry_bits) {
+  std::uint64_t chunk = 0;
+  // 0/1 bytes at one bit each: the vector path. It returns false on an
+  // out-of-range entry (or a scalar-only dispatch level), and the loop
+  // below redoes the chunk and throws the canonical range error.
+  if constexpr (kIdentityEncoding<S> && sizeof(typename S::Value) == 1) {
+    if (entry_bits == 1 &&
+        simd::pack_bits_u8(reinterpret_cast<const std::uint8_t*>(v), take,
+                           &chunk))
+      return chunk;
+    chunk = 0;
+  }
+  for (std::size_t e = 0; e < take; ++e)
+    chunk |= encode_value<S>(v[e], entry_bits) << (e * entry_bits);
+  return chunk;
+}
+}  // namespace codec_detail
+
+/// Words pack_words emits for `count` entries.
+inline std::size_t packed_word_count(std::size_t count, unsigned entry_bits,
+                                     unsigned word_bits) {
+  return ceil_div(count * entry_bits, word_bits);
+}
+
+/// Calls emit(Word) for each word of
+/// encode_bits(pack_entries<S>(values, entry_bits), word_bits): full
+/// word_bits-bit words, then one shorter tail word if the bits run out
+/// mid-word. The per-entry range check of encode_value<S> applies.
+template <Semiring S, class Emit>
+void pack_words(std::span<const typename S::Value> values, unsigned entry_bits,
+                unsigned word_bits, Emit&& emit) {
+  CCQ_CHECK(entry_bits >= 1 && entry_bits <= 64);
+  CCQ_CHECK(word_bits >= 1 && word_bits <= 64);
+  using codec_detail::u128;
+  const std::uint64_t wmask = codec_detail::low_mask(word_bits);
+  const std::size_t per = 64 / entry_bits;
+  // Invariant: filled < word_bits ≤ 64 between chunks, so after adding a
+  // chunk (≤ 64 bits) filled < 128 and every shift stays in the accumulator.
+  u128 acc = 0;
+  unsigned filled = 0;
+  for (std::size_t i = 0; i < values.size(); i += per) {
+    const std::size_t take = std::min(per, values.size() - i);
+    acc |= static_cast<u128>(codec_detail::pack_chunk<S>(values.data() + i,
+                                                         take, entry_bits))
+           << filled;
+    filled += static_cast<unsigned>(take) * entry_bits;
+    while (filled >= word_bits) {
+      emit(Word(static_cast<std::uint64_t>(acc) & wmask, word_bits));
+      acc >>= word_bits;
+      filled -= word_bits;
+    }
+  }
+  if (filled > 0) emit(Word(static_cast<std::uint64_t>(acc), filled));
+}
+
+/// Inverse of pack_words: decodes `count` entries of `entry_bits` from
+/// `words` (any widths, concatenated LSB-first like decode_words) and calls
+/// sink(index, value) for each in order (on a copy of `sink`, so a sink
+/// keeps its state behind references). Throws ModelViolation on a word
+/// whose value does not fit its width, and unless the words carry exactly
+/// count·entry_bits bits; a long stream is rejected before any entry past
+/// `count` is produced.
+template <Semiring S, class Sink>
+void unpack_words(std::span<const Word> words, std::size_t count,
+                  unsigned entry_bits, Sink&& sink) {
+  CCQ_CHECK(entry_bits >= 1 && entry_bits <= 64);
+  using codec_detail::u128;
+  const std::size_t want = count * entry_bits;
+  const std::uint64_t emask = codec_detail::low_mask(entry_bits);
+  const std::size_t per = 64 / entry_bits;
+  const unsigned chunk_bits = static_cast<unsigned>(per) * entry_bits;
+  std::size_t idx = 0;
+  // A local copy of the sink: a byte-sized store through a sink's pointer
+  // could otherwise alias the sink object itself, forcing a reload per entry.
+  auto put = sink;
+  auto take_chunk = [&](std::uint64_t chunk, std::size_t take) {
+    const std::size_t base = idx;
+    if constexpr (kIdentityEncoding<S> && sizeof(typename S::Value) == 1) {
+      std::uint8_t bits[64];
+      if (entry_bits == 1 && simd::unpack_bits_u8(&chunk, take, bits)) {
+        for (std::size_t e = 0; e < take; ++e)
+          put(base + e, static_cast<typename S::Value>(bits[e]));
+        idx = base + take;
+        return;
+      }
+    }
+    for (std::size_t e = 0; e < take; ++e)
+      put(base + e,
+          decode_value<S>((chunk >> (e * entry_bits)) & emask, entry_bits));
+    idx = base + take;
+  };
+  // Invariant: filled < chunk_bits ≤ 64 between words, so adding a word
+  // (≤ 64 bits) keeps filled < 128. Since got ≤ want, filled never exceeds
+  // the bits of the entries still owed, so a full chunk is never taken past
+  // `count`; the last, partial chunk is taken after the length check.
+  u128 acc = 0;
+  unsigned filled = 0;
+  std::size_t got = 0;
+  for (const Word& w : words) {
+    CCQ_CHECK_MSG(w.bits <= 64 && (w.bits == 64 || w.value >> w.bits == 0),
+                  "unpack_words: word value " << w.value
+                                              << " does not fit in "
+                                              << w.bits << " bits");
+    got += w.bits;
+    CCQ_CHECK_MSG(got <= want, "unpack_words: stream longer than the "
+                                   << want << " bits expected");
+    acc |= static_cast<u128>(w.value) << filled;
+    filled += w.bits;
+    while (filled >= chunk_bits) {
+      take_chunk(static_cast<std::uint64_t>(acc), per);
+      acc >>= chunk_bits;
+      filled -= chunk_bits;
+    }
+  }
+  CCQ_CHECK_MSG(got == want,
+                "unpack_words: got " << got << " bits, expected " << want);
+  take_chunk(static_cast<std::uint64_t>(acc), count - idx);
+}
+
 // ---- naive broadcast algorithm -------------------------------------------
 
 template <Semiring S>
@@ -279,6 +421,21 @@ struct Layout {
   NodeId wk(NodeId v) const { return v % d; }
 };
 
+/// Decodes the next `width`-entry slice of a positional inbox stream (a
+/// source's slices sent back to back, each padded to whole B-bit words)
+/// straight into `dst`, and advances `pos_words` past it.
+template <Semiring S>
+void unpack_slice(std::span<const Word> q, std::size_t& pos_words,
+                  NodeId width, unsigned entry_bits, unsigned B,
+                  typename S::Value* dst) {
+  const std::size_t nw = packed_word_count(width, entry_bits, B);
+  CCQ_CHECK_MSG(pos_words + nw <= q.size(),
+                "dense mm: inbox ends inside a slice");
+  unpack_words<S>(q.subspan(pos_words, nw), width, entry_bits,
+                  [dst](std::size_t c, typename S::Value v) { dst[c] = v; });
+  pos_words += nw;
+}
+
 }  // namespace mm3d_detail
 
 template <Semiring S>
@@ -293,47 +450,47 @@ std::vector<typename S::Value> mm_distributed_3d(
   const unsigned B = ctx.bandwidth();
   CCQ_CHECK(row_a.size() == n && row_b.size() == n);
 
-  auto slice = [&](const std::vector<V>& row, NodeId t) {
-    std::vector<V> s;
-    s.reserve(L.range_size(t));
-    for (NodeId c = L.range_begin(t); c < L.range_end(t); ++c)
-      s.push_back(row[c]);
-    return s;
+  // Words per slice of range t; every slice of a range has the same width,
+  // so these also size the send lists exactly.
+  auto slice_words = [&](NodeId t) {
+    return packed_word_count(L.range_size(t), entry_bits, B);
   };
 
   // ---- Step A: distribute input blocks.
   // Sender v: A_v[R_k] -> worker (range_of(v), j, k) for all j, k;
   //           B_v[R_j] -> worker (i, j, range_of(v)) for all i, j.
-  std::vector<std::pair<NodeId, Word>> phase_a;
+  auto& phase_a = ctx.send_list();
   {
     const NodeId iv = L.range_of(me);
     // The A payload for destination (iv, j, k) depends only on k, and the
     // B payload for (i, j, iv) only on j — pack each slice once and replay
     // the words per destination (d× fewer pack calls). The emission order
     // below is identical to packing inside the loops, so the word stream
-    // and every meter are unchanged.
-    std::vector<std::vector<Word>> a_words(L.d), b_words(L.d);
-    for (NodeId t = 0; t < L.d; ++t) {
-      const auto sa = slice(row_a, t);
-      a_words[t] =
-          encode_bits(pack_entries<S>(std::span<const V>(sa), entry_bits), B);
-      const auto sb = slice(row_b, t);
-      b_words[t] =
-          encode_bits(pack_entries<S>(std::span<const V>(sb), entry_bits), B);
-    }
-    for (NodeId j = 0; j < L.d; ++j) {
-      for (NodeId k = 0; k < L.d; ++k) {
-        // A slice to worker (iv, j, k).
-        const NodeId dst_a = L.worker(iv, j, k);
-        for (const Word& w : a_words[k]) phase_a.emplace_back(dst_a, w);
-      }
-    }
-    for (NodeId i = 0; i < L.d; ++i) {
-      for (NodeId j = 0; j < L.d; ++j) {
-        const NodeId dst_b = L.worker(i, j, iv);
-        for (const Word& w : b_words[j]) phase_a.emplace_back(dst_b, w);
-      }
-    }
+    // and every meter are unchanged. words[off[t]..off[t+1]) holds A's
+    // slice t, the same range shifted by off[d] holds B's.
+    std::vector<std::size_t> off(L.d + 1, 0);
+    for (NodeId t = 0; t < L.d; ++t) off[t + 1] = off[t] + slice_words(t);
+    std::vector<Word> words;
+    words.reserve(2 * off[L.d]);
+    auto push = [&](Word w) { words.push_back(w); };
+    for (NodeId t = 0; t < L.d; ++t)
+      pack_words<S>(std::span<const V>(row_a).subspan(L.range_begin(t),
+                                                      L.range_size(t)),
+                    entry_bits, B, push);
+    for (NodeId t = 0; t < L.d; ++t)
+      pack_words<S>(std::span<const V>(row_b).subspan(L.range_begin(t),
+                                                      L.range_size(t)),
+                    entry_bits, B, push);
+    phase_a.reserve(2 * static_cast<std::size_t>(L.d) * off[L.d]);
+    auto replay = [&](NodeId dst, std::size_t lo, std::size_t hi) {
+      for (std::size_t w = lo; w < hi; ++w) phase_a.emplace_back(dst, words[w]);
+    };
+    for (NodeId j = 0; j < L.d; ++j)
+      for (NodeId k = 0; k < L.d; ++k)  // A slice to worker (iv, j, k)
+        replay(L.worker(iv, j, k), off[k], off[k + 1]);
+    for (NodeId i = 0; i < L.d; ++i)
+      for (NodeId j = 0; j < L.d; ++j)  // B slice to worker (i, j, iv)
+        replay(L.worker(i, j, iv), off[L.d] + off[j], off[L.d] + off[j + 1]);
   }
   const FlatInbox inbox_a = ctx.exchange_flat(phase_a);
 
@@ -348,31 +505,17 @@ std::vector<typename S::Value> mm_distributed_3d(
     // range_of(v)==i and our (j,k) matched); from source v in R_k we got
     // B_v[R_j]. A source in both ranges sent A first, then B — but the two
     // sends were queued by different loops, A-loop first for matching
-    // destinations. Decode positionally.
+    // destinations. Decode positionally, straight into the block rows.
     for (NodeId src = 0; src < n; ++src) {
       const auto q = inbox_a.from(src);
       if (q.empty()) continue;
       std::size_t pos_words = 0;
-      const bool sends_a = L.range_of(src) == i;
-      const bool sends_b = L.range_of(src) == k;
-      if (sends_a) {
-        const std::size_t bits = static_cast<std::size_t>(rk) * entry_bits;
-        const std::size_t nw = ceil_div(bits, B);
-        auto vals = unpack_entries<S>(
-            decode_words(q.subspan(pos_words, nw), bits), rk, entry_bits);
-        pos_words += nw;
-        const NodeId r = src - L.range_begin(i);
-        std::copy(vals.begin(), vals.end(), a_blk.row_data(r));
-      }
-      if (sends_b) {
-        const std::size_t bits = static_cast<std::size_t>(rj) * entry_bits;
-        const std::size_t nw = ceil_div(bits, B);
-        auto vals = unpack_entries<S>(
-            decode_words(q.subspan(pos_words, nw), bits), rj, entry_bits);
-        pos_words += nw;
-        const NodeId r = src - L.range_begin(k);
-        std::copy(vals.begin(), vals.end(), b_blk.row_data(r));
-      }
+      if (L.range_of(src) == i)
+        mm3d_detail::unpack_slice<S>(q, pos_words, rk, entry_bits, B,
+                                     a_blk.row_data(src - L.range_begin(i)));
+      if (L.range_of(src) == k)
+        mm3d_detail::unpack_slice<S>(q, pos_words, rj, entry_bits, B,
+                                     b_blk.row_data(src - L.range_begin(k)));
       CCQ_CHECK_MSG(pos_words == q.size(), "mm_3d: stray words in inbox");
     }
     // Serial kernel dispatch: this runs inside a node program (scheduler
@@ -381,17 +524,15 @@ std::vector<typename S::Value> mm_distributed_3d(
   }
 
   // ---- Step C: return partial rows to their owners and reduce.
-  std::vector<std::pair<NodeId, Word>> phase_c;
+  auto& phase_c = ctx.send_list();  // phase_a is delivered; reuse it
   if (L.is_worker(me)) {
     const NodeId i = L.wi(me);
+    phase_c.reserve(L.range_size(i) * slice_words(L.wj(me)));
     for (NodeId r = L.range_begin(i); r < L.range_end(i); ++r) {
-      const NodeId lr = r - L.range_begin(i);
       // Pack straight from the row (contiguous row-major storage).
-      BitVector payload = pack_entries<S>(
-          std::span<const V>(partial.row_data(lr), partial.cols()),
-          entry_bits);
-      for (const Word& w : encode_bits(payload, B))
-        phase_c.emplace_back(r, w);
+      pack_words<S>(std::span<const V>(partial.row_data(r - L.range_begin(i)),
+                                       partial.cols()),
+                    entry_bits, B, [&](Word w) { phase_c.emplace_back(r, w); });
     }
   }
   const FlatInbox inbox_c = ctx.exchange_flat(phase_c);
@@ -405,14 +546,9 @@ std::vector<typename S::Value> mm_distributed_3d(
       CCQ_CHECK_MSG(L.is_worker(src) && L.wi(src) == i,
                     "mm_3d: partial row from unexpected worker");
       const NodeId j = L.wj(src);
-      const NodeId rj = L.range_size(j);
-      const std::size_t bits = static_cast<std::size_t>(rj) * entry_bits;
-      auto vals =
-          unpack_entries<S>(decode_words(q, bits), rj, entry_bits);
-      for (NodeId c = 0; c < rj; ++c) {
-        const NodeId col = L.range_begin(j) + c;
-        row_c[col] = S::add(row_c[col], vals[c]);
-      }
+      V* dst = row_c.data() + L.range_begin(j);
+      unpack_words<S>(q, L.range_size(j), entry_bits,
+                      [dst](std::size_t c, V v) { dst[c] = S::add(dst[c], v); });
     }
   }
   return row_c;
@@ -493,7 +629,10 @@ struct RectLayout {
     d[0] = d[1] = d[2] = 1;
     // Deterministic greedy grid: repeatedly split the dimension with the
     // widest parts (ties → lowest index) while the grid fits the clique.
-    // For square shapes this converges to the ⌊n^{1/3}⌋ cube of Layout.
+    // For square shapes on a perfect cube n this is the ⌊n^{1/3}⌋ cube of
+    // Layout; otherwise the grid may be uneven and differ from the cube
+    // (n = 100: a 5·5·4 grid and 11 rounds for the Boolean product, against
+    // 4³ and 12 rounds for mm_distributed_3d).
     for (;;) {
       int best = -1;
       NodeId best_w = 0;
@@ -558,15 +697,27 @@ std::vector<typename S::Value> mm_distributed_rect(
   CCQ_TRACE_SPAN(ctx, "mm-rect");
 
   // ---- Step A: distribute input slices (A first, then B, so a worker
-  // receiving both from one source decodes positionally).
-  std::vector<std::pair<NodeId, Word>> phase_a;
+  // receiving both from one source decodes positionally). Each slice is
+  // packed once and replayed to every destination that needs it.
+  auto& phase_a = ctx.send_list();
+  {
+    std::size_t total = 0;
+    if (holds_a)
+      for (NodeId k = 0; k < L.d[1]; ++k)
+        total += L.d[2] * packed_word_count(L.size(1, k), entry_bits, B);
+    if (holds_b)
+      for (NodeId j = 0; j < L.d[2]; ++j)
+        total += L.d[0] * packed_word_count(L.size(2, j), entry_bits, B);
+    phase_a.reserve(total);
+  }
+  std::vector<Word> words;
+  auto push = [&](Word w) { words.push_back(w); };
   if (holds_a) {
     const NodeId iv = L.of(0, me);
     for (NodeId k = 0; k < L.d[1]; ++k) {
-      const auto words = encode_bits(
-          pack_entries<S>(row_a.subspan(L.begin(1, k), L.size(1, k)),
-                          entry_bits),
-          B);
+      words.clear();
+      pack_words<S>(row_a.subspan(L.begin(1, k), L.size(1, k)), entry_bits,
+                    B, push);
       for (NodeId j = 0; j < L.d[2]; ++j)
         for (const Word& w : words)
           phase_a.emplace_back(L.worker(iv, j, k), w);
@@ -575,10 +726,9 @@ std::vector<typename S::Value> mm_distributed_rect(
   if (holds_b) {
     const NodeId kv = L.of(1, me);
     for (NodeId j = 0; j < L.d[2]; ++j) {
-      const auto words = encode_bits(
-          pack_entries<S>(row_b.subspan(L.begin(2, j), L.size(2, j)),
-                          entry_bits),
-          B);
+      words.clear();
+      pack_words<S>(row_b.subspan(L.begin(2, j), L.size(2, j)), entry_bits,
+                    B, push);
       for (NodeId i = 0; i < L.d[0]; ++i)
         for (const Word& w : words)
           phase_a.emplace_back(L.worker(i, j, kv), w);
@@ -601,41 +751,27 @@ std::vector<typename S::Value> mm_distributed_rect(
         continue;
       }
       std::size_t pos_words = 0;
-      if (sends_a) {
-        const std::size_t bits = static_cast<std::size_t>(rk) * entry_bits;
-        const std::size_t nw = ceil_div(bits, B);
-        auto vals = unpack_entries<S>(
-            decode_words(q.subspan(pos_words, nw), bits), rk, entry_bits);
-        pos_words += nw;
-        std::copy(vals.begin(), vals.end(),
-                  a_blk.row_data(src - L.begin(0, i)));
-      }
-      if (sends_b) {
-        const std::size_t bits = static_cast<std::size_t>(rj) * entry_bits;
-        const std::size_t nw = ceil_div(bits, B);
-        auto vals = unpack_entries<S>(
-            decode_words(q.subspan(pos_words, nw), bits), rj, entry_bits);
-        pos_words += nw;
-        std::copy(vals.begin(), vals.end(),
-                  b_blk.row_data(src - L.begin(1, k)));
-      }
+      if (sends_a)
+        mm3d_detail::unpack_slice<S>(q, pos_words, rk, entry_bits, B,
+                                     a_blk.row_data(src - L.begin(0, i)));
+      if (sends_b)
+        mm3d_detail::unpack_slice<S>(q, pos_words, rj, entry_bits, B,
+                                     b_blk.row_data(src - L.begin(1, k)));
       CCQ_CHECK_MSG(pos_words == q.size(), "mm_rect: stray words in inbox");
     }
     partial = kernels::mm_local<S>(a_blk, b_blk);
   }
 
   // ---- Step C: return partial rows to their owners and reduce.
-  std::vector<std::pair<NodeId, Word>> phase_c;
+  auto& phase_c = ctx.send_list();  // phase_a is delivered; reuse it
   if (L.is_worker(me)) {
     const NodeId i = L.wi(me);
-    for (NodeId r = L.begin(0, i); r < L.end(0, i); ++r) {
-      const NodeId lr = r - L.begin(0, i);
-      BitVector payload = pack_entries<S>(
-          std::span<const V>(partial.row_data(lr), partial.cols()),
-          entry_bits);
-      for (const Word& w : encode_bits(payload, B))
-        phase_c.emplace_back(r, w);
-    }
+    phase_c.reserve(L.size(0, i) *
+                    packed_word_count(partial.cols(), entry_bits, B));
+    for (NodeId r = L.begin(0, i); r < L.end(0, i); ++r)
+      pack_words<S>(std::span<const V>(partial.row_data(r - L.begin(0, i)),
+                                       partial.cols()),
+                    entry_bits, B, [&](Word w) { phase_c.emplace_back(r, w); });
   }
   const FlatInbox inbox_c = ctx.exchange_flat(phase_c);
 
@@ -649,13 +785,9 @@ std::vector<typename S::Value> mm_distributed_rect(
       CCQ_CHECK_MSG(L.is_worker(src) && L.wi(src) == i,
                     "mm_rect: partial row from unexpected worker");
       const NodeId j = L.wj(src);
-      const NodeId rj = L.size(2, j);
-      const std::size_t bits = static_cast<std::size_t>(rj) * entry_bits;
-      auto vals = unpack_entries<S>(decode_words(q, bits), rj, entry_bits);
-      for (NodeId c = 0; c < rj; ++c) {
-        const NodeId col = L.begin(2, j) + c;
-        row_c[col] = S::add(row_c[col], vals[c]);
-      }
+      V* dst = row_c.data() + L.begin(2, j);
+      unpack_words<S>(q, L.size(2, j), entry_bits,
+                      [dst](std::size_t c, V v) { dst[c] = S::add(dst[c], v); });
     }
   } else {
     for (NodeId src = 0; src < nn; ++src)

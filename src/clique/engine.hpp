@@ -103,6 +103,19 @@ class NodeCtx {
   /// arena-backed return as exchange_flat().
   FlatInbox round_flat(std::span<const std::pair<NodeId, Word>> sends);
 
+  /// This node's reusable send list for exchange_flat()/round_flat(),
+  /// handed out cleared. It lives as long as the node program and keeps
+  /// its capacity, so a protocol that builds one list per collective
+  /// allocates (and page-faults) it once per run instead of once per
+  /// collective. Safe to refill after a collective returns: the plane reads
+  /// a deposit only until delivery, and the inbox lives in the plane's own
+  /// arena. There is one list per node — calling send_list() again clears
+  /// the list an earlier call returned.
+  std::vector<std::pair<NodeId, Word>>& send_list() {
+    send_list_.clear();
+    return send_list_;
+  }
+
   /// Every node broadcasts `mine` to everyone; all broadcasts run in
   /// parallel. All nodes must pass bit vectors of the same length L
   /// (engine-checked); costs ⌈L/B⌉ rounds. Returns all n vectors.
@@ -140,6 +153,7 @@ class NodeCtx {
 
   NodeId id_;
   detail::SharedState* st_;
+  std::vector<std::pair<NodeId, Word>> send_list_;
 };
 
 using NodeProgram = std::function<void(NodeCtx&)>;

@@ -96,10 +96,12 @@ TEST(Estimator, SeriesRecordedPerSize) {
 
 TEST(EdgeChecker, DetectsViolations) {
   std::vector<Figure1Edge> edges = {{"A", "B", "test", false}};
-  std::vector<ExponentEstimate> ests(2);
-  ests[0].name = "A";
+  // Names are built in place: GCC 12's -O3 flags assigning a literal into
+  // a default-constructed std::string element with a false -Wrestrict.
+  std::vector<ExponentEstimate> ests;
+  ests.push_back({std::string("A"), {}, {}, {}});
+  ests.push_back({std::string("B"), {}, {}, {}});
   ests[0].fit.slope = 0.9;
-  ests[1].name = "B";
   ests[1].fit.slope = 0.2;
   auto violated = check_measured_edges(edges, ests, 0.1);
   ASSERT_EQ(violated.size(), 1u);  // δ(A) ≤ δ(B) badly violated
